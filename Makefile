@@ -12,6 +12,9 @@
 #   make bench-stream streamed-transfer overlap sweep -> BENCH_stream.json
 #   make bench-serve  multi-tenant saturation sweep -> BENCH_serve.json
 #   make bench-affinity  data-affinity scheduler A/B -> BENCH_affinity.json
+#   make bench-identical byte-identity gate: regenerate BENCH_stream.json,
+#                     BENCH_serve.json and BENCH_affinity.json into a temp
+#                     dir and cmp each against the committed file
 #   make bench-sim    DES-engine dispatch microbenchmarks (ns/event + allocs)
 #   make bench-check  perf-regression gate: re-run the perf suite (race
 #                     detector on) and diff against the committed BENCH_perf.json
@@ -19,7 +22,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race lint check strict bench bench-json bench-stream bench-serve bench-affinity bench-sim bench-check trace-demo serve-demo ops-demo tail-demo clean
+.PHONY: all build test vet race lint check strict bench bench-json bench-stream bench-serve bench-affinity bench-identical bench-sim bench-check trace-demo serve-demo ops-demo tail-demo clean
 
 all: check strict bench-json
 
@@ -48,7 +51,7 @@ check: build test
 
 # Tier-2: static analysis, the race detector, the end-to-end demos, and
 # the perf-regression gate.
-strict: lint race trace-demo serve-demo ops-demo tail-demo bench-check
+strict: lint race trace-demo serve-demo ops-demo tail-demo bench-identical bench-check
 
 # End-to-end tracing smoke: capture a small traced run, then require the
 # exported Chrome trace to validate through the offline analyser.
@@ -144,6 +147,16 @@ bench-serve:
 # reduction the ablation claims.
 bench-affinity:
 	$(GO) run ./cmd/northup-bench -fig affinity -format json > BENCH_affinity.json
+
+# Byte-identity gate: the committed virtual-time artifacts are a contract,
+# so regenerate each into a temp dir and fail on any byte of difference.
+bench-identical:
+	sh -c 'dir=$$(mktemp -d); trap "rm -rf $$dir" EXIT; \
+	  $(GO) build -o $$dir/northup-bench ./cmd/northup-bench || exit 1; \
+	  for fig in stream serve affinity; do \
+	    $$dir/northup-bench -fig $$fig -format json > $$dir/BENCH_$$fig.json || exit 1; \
+	    cmp $$dir/BENCH_$$fig.json BENCH_$$fig.json || exit 1; \
+	  done'
 
 # DES-engine microbenchmarks: per-event cost of both dispatch paths (proc
 # resumption vs inline callback vs same-instant fan-out) with allocation

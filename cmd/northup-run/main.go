@@ -117,6 +117,9 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
+		if err := plan.Check(tree); err != nil {
+			fatal(err)
+		}
 		opts.Faults = plan.Inject(e)
 	}
 	if *retries > 0 {

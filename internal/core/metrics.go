@@ -99,11 +99,10 @@ type runtimeMetrics struct {
 	// The gauge publishes the sum over live QueueDepthSlots, so concurrent
 	// schedulers on one node compose additively instead of overwriting
 	// each other's absolute depth.
-	queueDepth  map[int]*obs.Gauge
-	depthTotal  map[int]int64           // node -> sum of live slot depths
-	legacySlots map[int]*QueueDepthSlot // NoteQueueDepth's implicit slots
-	queuePops   *obs.Counter
-	queueSteal  *obs.Counter
+	queueDepth map[int]*obs.Gauge
+	depthTotal map[int]int64 // node -> sum of live slot depths
+	queuePops  *obs.Counter
+	queueSteal *obs.Counter
 
 	// Task-graph placement instruments (internal/taskgraph): per-policy
 	// decision counts, the task total, and the per-node bytes affinity
@@ -128,7 +127,6 @@ func newRuntimeMetrics(rt *Runtime, reg *obs.Registry, sampler *obs.Sampler) *ru
 		nominalBW:   map[int]float64{},
 		queueDepth:  map[int]*obs.Gauge{},
 		depthTotal:  map[int]int64{},
-		legacySlots: map[int]*QueueDepthSlot{},
 		streamRing:  map[int]*obs.Gauge{},
 		streamHopBW: map[int]*obs.Gauge{},
 		schedPlace:  map[string]*obs.Counter{},
@@ -331,9 +329,9 @@ func (m *runtimeMetrics) depthGauge(node int) *obs.Gauge {
 // QueueDepthSlot is one scheduler's contribution to a node's queue-depth
 // gauge. The gauge always publishes the sum of all live slots on the node,
 // which is what makes the metric correct when several jobs run leaf
-// schedulers on the same node concurrently: the old absolute-set form
-// (NoteQueueDepth) made the last writer win, so one job finishing could
-// freeze another job's stale depth into the gauge forever.
+// schedulers on the same node concurrently: an absolute-set gauge would let
+// the last writer win, so one job finishing could freeze another job's
+// stale depth into the gauge forever.
 //
 // A scheduler obtains a slot at setup (NewQueueDepthSlot), calls Set with
 // its own total on every queue event, and must Close the slot when it
@@ -371,25 +369,6 @@ func (s *QueueDepthSlot) Close() {
 	}
 	s.Set(0)
 	s.closed = true
-}
-
-// NoteQueueDepth publishes a leaf scheduler's queue depth for node as a
-// gauge (the sampler's subject). No-op without metrics.
-//
-// It writes through a per-node slot owned by the runtime, so a single
-// scheduler per node behaves exactly as before; schedulers that can run
-// concurrently on one node must hold their own slot (NewQueueDepthSlot)
-// instead, or their depths overwrite each other within the shared slot.
-func (rt *Runtime) NoteQueueDepth(node int, depth int64) {
-	if rt.met == nil {
-		return
-	}
-	s, ok := rt.met.legacySlots[node]
-	if !ok {
-		s = rt.NewQueueDepthSlot(node)
-		rt.met.legacySlots[node] = s
-	}
-	s.Set(depth)
 }
 
 // NoteSchedPlacement records one task-graph placement decision: policy is

@@ -40,21 +40,23 @@ func (rt *Runtime) MoveData(p *sim.Proc, dst *Buffer, src *Buffer, dstOff, srcOf
 }
 
 // moveOnce is one attempt of MoveData: the fault check, then the dispatch
-// of Listing 4.
+// of Listing 4. Phantom mode charges the same timing and only skips the
+// byte copies.
 func (rt *Runtime) moveOnce(p *sim.Proc, dst *Buffer, src *Buffer, dstOff, srcOff, n int64) error {
 	if err := rt.faultTransfer(p, src, dst, n); err != nil {
 		return err
 	}
-	if rt.opts.Phantom {
-		return rt.movePhantom(p, dst, src, dstOff, srcOff, n)
-	}
+	phantom := rt.opts.Phantom
 	start := p.Now()
 	var cat trace.Category
 	var err error
 	switch {
 	case src.file != nil && dst.file == nil:
 		cat = trace.IO
-		err = src.file.ReadAt(p, dst.data[dstOff:dstOff+n], srcOff)
+		err = src.file.Charge(p, device.Read, srcOff, n)
+		if err == nil && !phantom {
+			err = src.file.Peek(dst.data[dstOff:dstOff+n], srcOff)
+		}
 		if err == nil && dst.node.Kind() == device.KindGPUMem {
 			// GPUDirect-style path: the storage read lands in device memory
 			// through the PCIe link as well.
@@ -65,17 +67,32 @@ func (rt *Runtime) moveOnce(p *sim.Proc, dst *Buffer, src *Buffer, dstOff, srcOf
 		if src.node.Kind() == device.KindGPUMem {
 			rt.pcie.Transfer(p, src.node.Mem, nil, n)
 		}
-		err = dst.file.WriteAt(p, src.data[srcOff:srcOff+n], dstOff)
+		err = dst.file.Charge(p, device.Write, dstOff, n)
+		if err == nil && !phantom {
+			err = dst.file.Preload(src.data[srcOff:srcOff+n], dstOff)
+		}
 	case src.file != nil && dst.file != nil:
 		cat = trace.IO
-		tmp := rt.getScratch(n)
-		if err = src.file.ReadAt(p, tmp, srcOff); err == nil {
-			err = dst.file.WriteAt(p, tmp, dstOff)
+		var tmp []byte
+		if !phantom {
+			tmp = rt.getScratch(n)
+		}
+		err = src.file.Charge(p, device.Read, srcOff, n)
+		if err == nil && !phantom {
+			err = src.file.Peek(tmp, srcOff)
+		}
+		if err == nil {
+			err = dst.file.Charge(p, device.Write, dstOff, n)
+		}
+		if err == nil && !phantom {
+			err = dst.file.Preload(tmp, dstOff)
 		}
 		rt.putScratch(tmp)
 	default: // memory to memory
 		cat = trace.Transfer
-		copy(dst.data[dstOff:dstOff+n], src.data[srcOff:srcOff+n])
+		if !phantom {
+			copy(dst.data[dstOff:dstOff+n], src.data[srcOff:srcOff+n])
+		}
 		rt.link(src, dst).Transfer(p, src.node.Mem, dst.node.Mem, n)
 	}
 	rt.chargeSpan(p, moveLane(cat, dst, src), cat, spanMove, start, p.Now(), n)
@@ -192,37 +209,6 @@ func (rt *Runtime) move2DOnce(p *sim.Proc, dst *Buffer, src *Buffer,
 		}
 	}
 	rt.chargeSpan(p, moveLane(cat, dst, src), cat, spanMove2D, start, p.Now(), int64(rows)*int64(rowBytes))
-	return err
-}
-
-// movePhantom charges the timing of MoveData without moving bytes.
-func (rt *Runtime) movePhantom(p *sim.Proc, dst, src *Buffer, dstOff, srcOff, n int64) error {
-	start := p.Now()
-	var cat trace.Category
-	var err error
-	switch {
-	case src.file != nil && dst.file == nil:
-		cat = trace.IO
-		err = src.file.Charge(p, device.Read, srcOff, n)
-		if err == nil && dst.node.Kind() == device.KindGPUMem {
-			rt.pcie.Transfer(p, nil, dst.node.Mem, n)
-		}
-	case src.file == nil && dst.file != nil:
-		cat = trace.IO
-		if src.node.Kind() == device.KindGPUMem {
-			rt.pcie.Transfer(p, src.node.Mem, nil, n)
-		}
-		err = dst.file.Charge(p, device.Write, dstOff, n)
-	case src.file != nil && dst.file != nil:
-		cat = trace.IO
-		if err = src.file.Charge(p, device.Read, srcOff, n); err == nil {
-			err = dst.file.Charge(p, device.Write, dstOff, n)
-		}
-	default:
-		cat = trace.Transfer
-		rt.link(src, dst).Transfer(p, src.node.Mem, dst.node.Mem, n)
-	}
-	rt.chargeSpan(p, moveLane(cat, dst, src), cat, spanMove, start, p.Now(), n)
 	return err
 }
 

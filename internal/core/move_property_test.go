@@ -11,28 +11,32 @@ import (
 
 // TestMoveRoundTripAcrossKindsProperty drives random payloads at random
 // offsets through every node kind of the 3-level tree — DRAM -> storage ->
-// DRAM -> GPU memory -> DRAM — and demands bit-exact survival. This is the
-// unified interface's core contract: the opaque handle behaves identically
-// no matter which memories back it.
+// storage -> DRAM -> GPU memory -> DRAM — and demands bit-exact survival.
+// This is the unified interface's core contract: the opaque handle behaves
+// identically no matter which memories back it. Each case then reruns in
+// phantom mode, which must charge the same elapsed time and breakdown: one
+// move dispatch serves both modes, and phantom only skips the byte copies.
 func TestMoveRoundTripAcrossKindsProperty(t *testing.T) {
-	f := func(payload []byte, offRaw uint8) bool {
-		if len(payload) == 0 {
-			return true
-		}
+	run := func(payload []byte, off int64, phantom bool) (RunStats, bool, error) {
 		e := sim.NewEngine()
 		tree := topo.Discrete(e, topo.DiscreteConfig{Storage: topo.SSD,
 			StorageMiB: 4, DRAMMiB: 2, GPUMemMiB: 2})
-		rt := NewRuntime(e, tree, DefaultOptions())
+		opts := DefaultOptions()
+		opts.Phantom = phantom
+		rt := NewRuntime(e, tree, opts)
 		root, dram, gmem := tree.Node(0), tree.Node(1), tree.Node(2)
-		off := int64(offRaw)
 		size := int64(len(payload)) + off + 1
 		ok := true
-		_, err := rt.Run("prop", func(c *Ctx) error {
+		stats, err := rt.Run("prop", func(c *Ctx) error {
 			stage, err := c.AllocAt(dram, size)
 			if err != nil {
 				return err
 			}
 			disk, err := c.AllocAt(root, size)
+			if err != nil {
+				return err
+			}
+			disk2, err := c.AllocAt(root, size)
 			if err != nil {
 				return err
 			}
@@ -44,12 +48,18 @@ func TestMoveRoundTripAcrossKindsProperty(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			copy(stage.Bytes()[off:], payload)
+			if !phantom {
+				copy(stage.Bytes()[off:], payload)
+			}
 			n := int64(len(payload))
 			if err := c.MoveData(disk, stage, off, off, n); err != nil {
 				return err
 			}
-			if err := c.MoveData(back, disk, off, off, n); err != nil {
+			// File to file: the scratch-staged storage copy.
+			if err := c.MoveData(disk2, disk, off, off, n); err != nil {
+				return err
+			}
+			if err := c.MoveData(back, disk2, off, off, n); err != nil {
 				return err
 			}
 			if err := c.MoveData(dev, back, off, off, n); err != nil {
@@ -62,10 +72,32 @@ func TestMoveRoundTripAcrossKindsProperty(t *testing.T) {
 			if err := c.MoveData(back, dev, off, off, n); err != nil {
 				return err
 			}
-			ok = bytes.Equal(back.Bytes()[off:off+n], payload)
+			if !phantom {
+				ok = bytes.Equal(back.Bytes()[off:off+n], payload)
+			}
 			return nil
 		})
-		return err == nil && ok
+		return stats, ok, err
+	}
+	f := func(payload []byte, offRaw uint8) bool {
+		if len(payload) == 0 {
+			return true
+		}
+		off := int64(offRaw)
+		functional, ok, err := run(payload, off, false)
+		if err != nil || !ok {
+			return false
+		}
+		phantom, _, err := run(payload, off, true)
+		if err != nil {
+			return false
+		}
+		if phantom.Elapsed != functional.Elapsed || phantom.Breakdown != functional.Breakdown {
+			t.Logf("phantom elapsed %v breakdown %v != functional %v %v",
+				phantom.Elapsed, phantom.Breakdown, functional.Elapsed, functional.Breakdown)
+			return false
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

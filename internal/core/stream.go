@@ -77,10 +77,6 @@ type StreamStats struct {
 	SubChunks int64
 	// HopMoves is the number of per-hop sub-chunk moves driven.
 	HopMoves int64
-	// AsyncHops counts the sub-chunk moves driven on the engine's
-	// inline-callback fast path (single-hop pumps) rather than by a
-	// dedicated hop process.
-	AsyncHops int64
 	// Bytes is the total payload delivered by streamed moves.
 	Bytes int64
 	// MaxInFlight is the high-water mark of sub-chunks simultaneously in
@@ -289,20 +285,6 @@ func (rt *Runtime) moveDataStreamed(c *Ctx, dst, src *Buffer, dstOff, srcOff, n 
 		return nil
 	}
 
-	// A multi-chunk single-hop stream has no rings and no overlap: its hop
-	// proc would just issue the sub-chunk moves back to back. Drive those
-	// leaf, non-blocking charges through the engine's inline-callback fast
-	// path instead of parking a process on each one. Gated to configurations
-	// whose per-chunk sequence has no blocking side work — no consumer, no
-	// fault injection or retry deadline (both may sleep/backoff), and not
-	// file-to-file (its scratch staging is worth a real proc) — so the
-	// timing is identical to the proc-driven loop by construction.
-	if nhops == 1 && o.OnChunk == nil &&
-		rt.opts.Faults == nil && rt.opts.Retry.OpTimeout <= 0 &&
-		!(src.file != nil && dst.file != nil) {
-		return rt.streamSingleHopAsync(c, dst, src, dstOff, srcOff, n, plan)
-	}
-
 	depth := o.Depth
 	if depth < 1 {
 		depth = defaultStreamDepth
@@ -372,7 +354,7 @@ func (rt *Runtime) moveDataStreamed(c *Ctx, dst, src *Buffer, dstOff, srcOff, n 
 			defer wg.Done()
 			for i := 0; i < count; i++ {
 				if k == 0 {
-					rt.noteStreamInflight(p.Now(), dst.node.ID, +1)
+					rt.noteStreamInflight(p, dst.node.ID, +1)
 				}
 				inSlot, outSlot := -1, -1
 				if k > 0 {
@@ -409,15 +391,15 @@ func (rt *Runtime) moveDataStreamed(c *Ctx, dst, src *Buffer, dstOff, srcOff, n 
 				if k > 0 {
 					free[k].Send(p, inSlot)
 					ringOcc[k]--
-					rt.noteStreamRing(p.Now(), path[k].ID, ringOcc[k])
+					rt.noteStreamRing(p, path[k].ID, ringOcc[k])
 				}
 				if k < nhops-1 {
 					full[k+1].Send(p, outSlot)
 					ringOcc[k+1]++
-					rt.noteStreamRing(p.Now(), path[k+1].ID, ringOcc[k+1])
+					rt.noteStreamRing(p, path[k+1].ID, ringOcc[k+1])
 				}
 				if k == nhops-1 {
-					rt.noteStreamInflight(p.Now(), dst.node.ID, -1)
+					rt.noteStreamInflight(p, dst.node.ID, -1)
 					if landed != nil {
 						landed.Send(p, i)
 					}
@@ -436,120 +418,6 @@ func (rt *Runtime) moveDataStreamed(c *Ctx, dst, src *Buffer, dstOff, srcOff, n 
 		}
 	}
 	return eo.first()
-}
-
-// streamSingleHopAsync pumps a single-hop stream's sub-chunks through the
-// engine's inline-callback path: each chunk queues its device/link charges
-// with AccessAsync/TransferAsync and the completion callback starts the next
-// chunk, so the whole move needs no process beyond the blocked caller. The
-// per-chunk sequence (overhead, service charges, hop/in-flight notes) mirrors
-// the proc-driven loop exactly; chunks are sequential either way, so elapsed
-// time and charge totals are identical.
-//
-// The destination range is invalidated whole, up front, on the caller's
-// process: releasing cache victims may sleep (per-op overhead), which a
-// callback must not do. Per-chunk moves then skip re-invalidation.
-func (rt *Runtime) streamSingleHopAsync(c *Ctx, dst, src *Buffer, dstOff, srcOff, n int64, plan stream.Plan) error {
-	rt.invalidateRange(c.p, dst, dstOff, n)
-
-	count := plan.Count
-	dstNode := dst.node.ID
-	done := sim.NewLatch(rt.engine)
-	var eo errOnce
-
-	var pump func(i int)
-	pump = func(i int) {
-		if i == count || eo.failed() {
-			done.Fire()
-			return
-		}
-		start := rt.engine.Now()
-		rt.noteStreamInflight(start, dstNode, +1)
-		off, sz := plan.ChunkRange(i)
-		service := func() {
-			rt.streamStats.AsyncHops++
-			rt.asyncMoveOnce(dst, src, dstOff+off, srcOff+off, sz, func(err error) {
-				eo.record(err)
-				end := rt.engine.Now()
-				rt.noteStreamHop(dstNode, start, end, sz)
-				rt.noteStreamInflight(end, dstNode, -1)
-				pump(i + 1)
-			})
-		}
-		if ovh := rt.opts.OverheadPerOp; ovh > 0 {
-			rt.engine.After(ovh, func() {
-				rt.chargeSpan(nil, laneRuntime, trace.Runtime, spanBookkeeping, start, rt.engine.Now(), 0)
-				service()
-			})
-		} else {
-			service()
-		}
-	}
-	pump(0)
-	done.Wait(c.p)
-	return eo.first()
-}
-
-// asyncMoveOnce is one attempt of MoveData on the inline-callback path,
-// mirroring moveOnce's dispatch (and movePhantom's in phantom mode) charge
-// for charge. The caller has validated ranges, invalidated the destination
-// and charged per-op overhead, and gates on the absence of fault injection,
-// retry deadlines, and file-to-file endpoints. done receives the move's
-// error once every timed charge has completed; it runs as an engine callback
-// and must not block.
-func (rt *Runtime) asyncMoveOnce(dst, src *Buffer, dstOff, srcOff, n int64, done func(error)) {
-	start := rt.engine.Now()
-	phantom := rt.opts.Phantom
-	finish := func(cat trace.Category, err error) {
-		rt.chargeSpan(nil, moveLane(cat, dst, src), cat, spanMove, start, rt.engine.Now(), n)
-		done(err)
-	}
-	switch {
-	case src.file != nil && dst.file == nil:
-		err := src.file.ChargeAsync(device.Read, srcOff, n, func() {
-			var err error
-			if !phantom {
-				err = src.file.Peek(dst.data[dstOff:dstOff+n], srcOff)
-			}
-			if err == nil && dst.node.Kind() == device.KindGPUMem {
-				// GPUDirect-style path: the storage read lands in device
-				// memory through the PCIe link as well.
-				rt.pcie.TransferAsync(nil, dst.node.Mem, n, func(sim.Time) {
-					finish(trace.IO, nil)
-				})
-				return
-			}
-			finish(trace.IO, err)
-		})
-		if err != nil {
-			finish(trace.IO, err)
-		}
-	case src.file == nil && dst.file != nil:
-		write := func() {
-			err := dst.file.ChargeAsync(device.Write, dstOff, n, func() {
-				var err error
-				if !phantom {
-					err = dst.file.Preload(src.data[srcOff:srcOff+n], dstOff)
-				}
-				finish(trace.IO, err)
-			})
-			if err != nil {
-				finish(trace.IO, err)
-			}
-		}
-		if src.node.Kind() == device.KindGPUMem {
-			rt.pcie.TransferAsync(src.node.Mem, nil, n, func(sim.Time) { write() })
-			return
-		}
-		write()
-	default: // memory to memory (file-to-file is gated out by the caller)
-		if !phantom {
-			copy(dst.data[dstOff:dstOff+n], src.data[srcOff:srcOff+n])
-		}
-		rt.link(src, dst).TransferAsync(src.node.Mem, dst.node.Mem, n, func(sim.Time) {
-			finish(trace.Transfer, nil)
-		})
-	}
 }
 
 // noteStreamHop records one per-hop sub-chunk move: a structural span on
@@ -571,26 +439,24 @@ func (rt *Runtime) noteStreamHop(dstNode int, start, end sim.Time, n int64) {
 	}
 }
 
-// noteStreamInflight tracks the number of sub-chunks in the pipe. It takes
-// the current virtual time rather than a process so the callback-driven
-// single-hop pump can report alongside the proc-driven hop drivers.
-func (rt *Runtime) noteStreamInflight(now sim.Time, dstNode int, delta int64) {
+// noteStreamInflight tracks the number of sub-chunks in the pipe.
+func (rt *Runtime) noteStreamInflight(p *sim.Proc, dstNode int, delta int64) {
 	rt.streamInflight += delta
 	if rt.streamInflight > rt.streamStats.MaxInFlight {
 		rt.streamStats.MaxInFlight = rt.streamInflight
 	}
 	if rt.met != nil {
 		rt.met.streamInflight.Set(float64(rt.streamInflight))
-		rt.maybeSample(now)
+		rt.maybeSample(p.Now())
 	}
 	if rt.traceActive() {
 		rt.emitCounter(trace.Lane{Node: dstNode, Track: trace.TrackStream},
-			ctrStreamInflight, now, rt.streamInflight)
+			ctrStreamInflight, p.Now(), rt.streamInflight)
 	}
 }
 
 // noteStreamRing tracks one staging ring's occupancy.
-func (rt *Runtime) noteStreamRing(now sim.Time, node int, occ int64) {
+func (rt *Runtime) noteStreamRing(p *sim.Proc, node int, occ int64) {
 	if occ > rt.streamStats.MaxRing {
 		rt.streamStats.MaxRing = occ
 	}
@@ -604,6 +470,6 @@ func (rt *Runtime) noteStreamRing(now sim.Time, node int, occ int64) {
 	}
 	if rt.traceActive() {
 		rt.emitCounter(trace.Lane{Node: node, Track: trace.TrackStream},
-			ctrStreamRing, now, occ)
+			ctrStreamRing, p.Now(), occ)
 	}
 }

@@ -226,66 +226,56 @@ func TestStreamedSingleHopAdaptiveDegeneratesToMonolithic(t *testing.T) {
 	}
 }
 
-func TestStreamedSingleHopAsyncMatchesProcDriven(t *testing.T) {
-	// A forced multi-chunk single-hop stream runs on the inline-callback
-	// pump; a retry deadline (which the pump cannot honor) forces the
-	// proc-driven hop loop instead. Both paths must charge identical virtual
-	// time and deliver identical bytes, in both directions.
+func TestStreamedSingleHopMultiChunk(t *testing.T) {
+	// A forced multi-chunk single-hop stream runs through the hop loop, one
+	// MoveData per sub-chunk, and must deliver exact bytes in both
+	// directions: file to memory on the way down, memory to file back up.
 	const n = 4<<20 + 17
 	want := streamPattern(n)
-	run := func(forceProc bool) (sim.Time, []byte, StreamStats) {
-		e := sim.NewEngine()
-		tree := topo.APU(e, topo.APUConfig{Storage: topo.SSD, StorageMiB: 64, DRAMMiB: 32})
-		opts := DefaultOptions()
-		if forceProc {
-			opts.Retry.OpTimeout = 1 << 40 // unreachably large; disables the async gate only
-		}
-		rt := NewRuntime(e, tree, opts)
-		src, err := rt.CreateInput(tree.Root(), "in", n, want)
+	e := sim.NewEngine()
+	tree := topo.APU(e, topo.APUConfig{Storage: topo.SSD, StorageMiB: 64, DRAMMiB: 32})
+	rt := NewRuntime(e, tree, DefaultOptions())
+	src, err := rt.CreateInput(tree.Root(), "in", n, want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var down []byte
+	var out *Buffer
+	_, err = rt.Run("stream", func(c *Ctx) error {
+		dram := tree.Root().Children[0]
+		dst, err := c.AllocAt(dram, n)
 		if err != nil {
-			t.Fatal(err)
+			return err
 		}
-		var got []byte
-		stats, err := rt.Run("stream", func(c *Ctx) error {
-			dram := tree.Root().Children[0]
-			dst, err := c.AllocAt(dram, n)
-			if err != nil {
-				return err
-			}
-			if err := c.MoveDataDownStreamed(dst, src, 0, 0, n,
-				StreamOptions{SubChunks: 4}); err != nil {
-				return err
-			}
-			got = append([]byte(nil), dst.Bytes()...)
-			// And back up: the memory-to-file combo of the pump.
-			out, err := c.AllocAt(tree.Root(), n)
-			if err != nil {
-				return err
-			}
-			if err := c.MoveDataUpStreamed(out, dst, 0, 0, n,
-				StreamOptions{SubChunks: 3}); err != nil {
-				return err
-			}
-			return c.Release(dst)
-		})
-		if err != nil {
-			t.Fatal(err)
+		if err := c.MoveDataDownStreamed(dst, src, 0, 0, n,
+			StreamOptions{SubChunks: 4}); err != nil {
+			return err
 		}
-		return stats.Elapsed, got, rt.StreamStats()
+		down = append([]byte(nil), dst.Bytes()...)
+		if out, err = c.AllocAt(tree.Root(), n); err != nil {
+			return err
+		}
+		if err := c.MoveDataUpStreamed(out, dst, 0, 0, n,
+			StreamOptions{SubChunks: 3}); err != nil {
+			return err
+		}
+		return c.Release(dst)
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	aEl, aBytes, aSS := run(false)
-	pEl, pBytes, pSS := run(true)
-	if aSS.AsyncHops != 7 || aSS.HopMoves != 7 {
-		t.Fatalf("async stats = %+v, want 4+3 callback-driven hop moves", aSS)
+	if ss := rt.StreamStats(); ss.HopMoves != 7 {
+		t.Fatalf("stream stats = %+v, want 4+3 hop moves", ss)
 	}
-	if pSS.AsyncHops != 0 || pSS.HopMoves != 7 {
-		t.Fatalf("proc-driven stats = %+v, want 7 proc-driven hop moves", pSS)
+	if !bytes.Equal(down, want) {
+		t.Fatal("streamed-down bytes differ from source")
 	}
-	if aEl != pEl {
-		t.Fatalf("async pump elapsed %v != proc-driven %v", aEl, pEl)
+	up := make([]byte, n)
+	if err := out.File().Peek(up, 0); err != nil {
+		t.Fatal(err)
 	}
-	if !bytes.Equal(aBytes, want) || !bytes.Equal(pBytes, want) {
-		t.Fatal("streamed bytes differ from source")
+	if !bytes.Equal(up, want) {
+		t.Fatal("streamed-up bytes differ from source")
 	}
 }
 

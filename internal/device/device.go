@@ -257,39 +257,6 @@ func (d *Device) Access(p *sim.Proc, op Op, offset, n int64) sim.Time {
 	return t
 }
 
-// AccessAsync performs the same timed access as Access without a driving
-// process: it queues for a service slot via the inline-callback path, holds
-// it for the service time with an engine timer, and invokes done with the
-// service time charged once the access completes. done runs as an engine
-// callback and must not block. The seek model, slot FIFO position, and
-// accounting are identical to Access, so proc-driven and callback-driven
-// requests can share one device without perturbing each other's timing.
-func (d *Device) AccessAsync(op Op, offset, n int64, done func(sim.Time)) {
-	d.server.AcquireAsync(func() {
-		// Sequentiality is evaluated at service start, exactly as Access does
-		// after its Acquire returns.
-		seek := d.profile.SeekTime > 0 && offset != d.lastEnd
-		t := d.ServiceTime(op, offset, n, seek)
-		d.lastEnd = offset + n
-		d.engine.After(t, func() {
-			d.server.Release()
-			if op == Read {
-				d.readBytes += n
-				d.readTime += t
-			} else {
-				d.writeBytes += n
-				d.writeTime += t
-			}
-			if d.recorder != nil {
-				d.recorder(IORecord{Device: d.profile.Name, Op: op, Bytes: n, Seek: seek, Time: t})
-			}
-			if done != nil {
-				done(t)
-			}
-		})
-	})
-}
-
 // Stats reports cumulative traffic and busy time per direction.
 func (d *Device) Stats() (readBytes, writeBytes int64, readTime, writeTime sim.Time) {
 	return d.readBytes, d.writeBytes, d.readTime, d.writeTime
@@ -317,7 +284,6 @@ type Link struct {
 	BW      float64  // bytes per second
 	Latency sim.Time // per-transfer setup cost
 
-	engine *sim.Engine
 	server *sim.Resource
 }
 
@@ -328,7 +294,7 @@ func NewLink(e *sim.Engine, name string, bw float64, latency sim.Time, paralleli
 		parallelism = 1
 	}
 	return &Link{Name: name, BW: bw, Latency: latency,
-		engine: e, server: sim.NewResource(e, parallelism)}
+		server: sim.NewResource(e, parallelism)}
 }
 
 // Transfer moves n bytes between src and dst across the link, charging the
@@ -345,27 +311,4 @@ func (l *Link) Transfer(p *sim.Proc, src, dst *Device, n int64) sim.Time {
 	t := l.Latency + sim.TransferTime(n, bw)
 	l.server.Use(p, t)
 	return t
-}
-
-// TransferAsync is Transfer without a driving process: it queues for a link
-// slot via the inline-callback path, occupies it for the transfer time with
-// an engine timer, and invokes done with the time charged. done runs as an
-// engine callback and must not block.
-func (l *Link) TransferAsync(src, dst *Device, n int64, done func(sim.Time)) {
-	bw := l.BW
-	if src != nil && src.profile.ReadBW > 0 && src.profile.ReadBW < bw {
-		bw = src.profile.ReadBW
-	}
-	if dst != nil && dst.profile.WriteBW > 0 && dst.profile.WriteBW < bw {
-		bw = dst.profile.WriteBW
-	}
-	t := l.Latency + sim.TransferTime(n, bw)
-	l.server.AcquireAsync(func() {
-		l.engine.After(t, func() {
-			l.server.Release()
-			if done != nil {
-				done(t)
-			}
-		})
-	})
 }

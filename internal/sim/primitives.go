@@ -145,14 +145,10 @@ func (b *Barrier) Rounds() int { return b.rounds }
 // waiter, so acquisition order equals arrival order and no process observes
 // a spurious wakeup.
 type Resource struct {
-	e     *Engine
-	cap   int
-	inUse int
-	// waiters holds blocked acquirers in arrival order. A waiter is either a
-	// blocked process (p != nil) or an inline-callback continuation queued by
-	// AcquireAsync (fn != nil); keeping both in one FIFO preserves fairness
-	// when proc-driven and callback-driven users contend for one device.
-	waiters []resWaiter
+	e       *Engine
+	cap     int
+	inUse   int
+	waiters waitList
 
 	// Queueing statistics: how many acquisitions waited, and for how long
 	// in total. They quantify contention in device models.
@@ -160,24 +156,6 @@ type Resource struct {
 	waited    int64
 	waitTotal Time
 	enqueued  map[*Proc]Time
-}
-
-// resWaiter is one queued acquirer: a blocked process or a continuation.
-type resWaiter struct {
-	p  *Proc
-	fn func()
-	at Time // enqueue time, for callback wait accounting
-}
-
-// popWaiter removes and returns the oldest waiter.
-func (r *Resource) popWaiter() resWaiter {
-	w := r.waiters[0]
-	// Shift rather than re-slice so the backing array does not grow without
-	// bound across a long simulation.
-	copy(r.waiters, r.waiters[1:])
-	r.waiters[len(r.waiters)-1] = resWaiter{}
-	r.waiters = r.waiters[:len(r.waiters)-1]
-	return w
 }
 
 // NewResource returns a semaphore with the given capacity (>= 1).
@@ -191,7 +169,7 @@ func NewResource(e *Engine, capacity int) *Resource {
 // Acquire blocks p until a unit of the resource is free, then takes it.
 func (r *Resource) Acquire(p *Proc) {
 	r.acquires++
-	if r.inUse < r.cap && len(r.waiters) == 0 {
+	if r.inUse < r.cap && r.waiters.empty() {
 		r.inUse++
 		return
 	}
@@ -199,28 +177,12 @@ func (r *Resource) Acquire(p *Proc) {
 		r.enqueued = make(map[*Proc]Time)
 	}
 	r.enqueued[p] = r.e.now
-	r.waiters = append(r.waiters, resWaiter{p: p})
+	r.waiters.push(p)
 	p.block()
 	// Release reserved the unit for us before waking us; account the wait.
 	r.waited++
 	r.waitTotal += r.e.now - r.enqueued[p]
 	delete(r.enqueued, p)
-}
-
-// AcquireAsync takes a unit of the resource and runs fn holding it — inline
-// when one is immediately free, otherwise as an engine callback when Release
-// hands the unit over, in the same FIFO position a blocked process would
-// occupy. fn must follow the inline-callback contract (Engine.At): it may
-// schedule, fire, try-send — never block. fn must eventually lead to a
-// Release, exactly like a successful Acquire.
-func (r *Resource) AcquireAsync(fn func()) {
-	r.acquires++
-	if r.inUse < r.cap && len(r.waiters) == 0 {
-		r.inUse++
-		fn()
-		return
-	}
-	r.waiters = append(r.waiters, resWaiter{fn: fn, at: r.e.now})
 }
 
 // QueueStats reports contention: total acquisitions, how many had to wait,
@@ -232,7 +194,7 @@ func (r *Resource) QueueStats() (acquires, waited int64, waitTotal Time) {
 // TryAcquire takes a unit if one is immediately available and no earlier
 // waiter is queued; it reports whether it succeeded.
 func (r *Resource) TryAcquire() bool {
-	if r.inUse < r.cap && len(r.waiters) == 0 {
+	if r.inUse < r.cap && r.waiters.empty() {
 		r.acquires++
 		r.inUse++
 		return true
@@ -240,23 +202,14 @@ func (r *Resource) TryAcquire() bool {
 	return false
 }
 
-// Release returns a unit of the resource. If acquirers are waiting, the unit
-// is handed to the oldest waiter without ever becoming free: a blocked
-// process is woken, a queued continuation is scheduled as a same-instant
-// engine callback.
+// Release returns a unit of the resource. If processes are waiting, the unit
+// is handed to the oldest waiter without ever becoming free.
 func (r *Resource) Release() {
 	if r.inUse <= 0 {
 		panic("sim: Resource released more than acquired")
 	}
-	if len(r.waiters) > 0 {
-		w := r.popWaiter()
-		if w.p != nil {
-			r.e.wake(w.p)
-		} else {
-			r.waited++
-			r.waitTotal += r.e.now - w.at
-			r.e.At(r.e.now, w.fn)
-		}
+	if !r.waiters.empty() {
+		r.e.wake(r.waiters.popFront())
 		return // ownership transferred; inUse unchanged
 	}
 	r.inUse--
@@ -268,8 +221,8 @@ func (r *Resource) InUse() int { return r.inUse }
 // Capacity returns the total number of units.
 func (r *Resource) Capacity() int { return r.cap }
 
-// QueueLen returns the number of acquirers waiting for a unit.
-func (r *Resource) QueueLen() int { return len(r.waiters) }
+// QueueLen returns the number of processes waiting to acquire.
+func (r *Resource) QueueLen() int { return len(r.waiters.procs) }
 
 // Use acquires the resource, sleeps for d, and releases it: the basic
 // "request a server for a service time" pattern of queueing models.

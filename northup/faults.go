@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/proc"
 )
 
 // Fault-injection and resilience types.
@@ -68,8 +69,36 @@ type FaultPlan struct {
 	Outages []FaultOutage
 }
 
+// Check verifies every outage against the built tree: the node must exist
+// and, for a processor-class outage, carry a processor of that class. An
+// outage that targets nothing would otherwise be scheduled and never fire.
+func (p *FaultPlan) Check(t *Tree) error {
+	for _, o := range p.Outages {
+		if o.Node < 0 || o.Node >= t.NumNodes() {
+			return fmt.Errorf("faults: offline target node %d is not in the tree (nodes 0-%d)",
+				o.Node, t.NumNodes()-1)
+		}
+		if o.Class == "" {
+			continue
+		}
+		var kind proc.Kind
+		switch o.Class {
+		case ProcClassCPU:
+			kind = proc.CPU
+		case ProcClassGPU:
+			kind = proc.GPU
+		default:
+			return fmt.Errorf("faults: unknown processor class %q", o.Class)
+		}
+		if n := t.Node(o.Node); n.Processor(kind) == nil {
+			return fmt.Errorf("faults: offline target %v has no %s processor", n, o.Class)
+		}
+	}
+	return nil
+}
+
 // Inject creates the injector on the engine and schedules the plan's
-// outage windows.
+// outage windows. Check the plan against the tree first.
 func (p *FaultPlan) Inject(e *Engine) *FaultInjector {
 	inj := fault.New(e, p.Config)
 	for _, o := range p.Outages {

@@ -116,3 +116,63 @@ func TestFaultInjectionThroughPublicAPI(t *testing.T) {
 		t.Error("resilience report missing injected-stats row")
 	}
 }
+
+// TestFaultPlanCheckRejectsMissingTargets pins the outage validation
+// against the built tree: a node ID outside the tree and a processor-class
+// outage on a node without that class are both errors naming the node.
+func TestFaultPlanCheckRejectsMissingTargets(t *testing.T) {
+	e := northup.NewEngine()
+	tree := northup.APU(e, northup.APUConfig{Storage: northup.SSD,
+		StorageMiB: 64, DRAMMiB: 16, WithCPU: true})
+	for spec, want := range map[string]string{
+		"offline=99/gpu:0:1000": "node 99",
+		"offline=2:0:1000":      "node 2",
+		"offline=0/gpu:0:1000":  "node0",
+	} {
+		plan, err := northup.ParseFaults(spec)
+		if err != nil {
+			t.Fatalf("%s: %v", spec, err)
+		}
+		err = plan.Check(tree)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: Check error %v, want one naming %q", spec, err, want)
+		}
+	}
+	for _, spec := range []string{"offline=1/gpu:0:2", "offline=1/cpu:0:2", "offline=0:0:1"} {
+		plan, err := northup.ParseFaults(spec)
+		if err != nil {
+			t.Fatalf("%s: %v", spec, err)
+		}
+		if err := plan.Check(tree); err != nil {
+			t.Errorf("%s: valid outage rejected: %v", spec, err)
+		}
+	}
+}
+
+// TestFaultPlanGPUOutageFailsOver drives the documented GPU-outage spec
+// through Check and Inject into the CPU+GPU stealing HotSpot: every row
+// task must fail over to the CPU.
+func TestFaultPlanGPUOutageFailsOver(t *testing.T) {
+	plan, err := northup.ParseFaults("seed=7,offline=1/gpu:0:2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := northup.NewEngine()
+	tree := northup.APU(e, northup.APUConfig{Storage: northup.SSD,
+		StorageMiB: 1024, DRAMMiB: 16, WithCPU: true})
+	if err := plan.Check(tree); err != nil {
+		t.Fatal(err)
+	}
+	opts := northup.DefaultOptions()
+	opts.Faults = plan.Inject(e)
+	rt := northup.NewRuntime(e, tree, opts)
+	res, err := northup.HotSpotSteal(rt, northup.StealConfig{M: 256, ChunkDim: 256,
+		Seed: 1, Iters: 8, Mode: northup.CPUGPU})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.TasksByGPU != 0 || res.TasksByCPU != 128 || res.Failovers != 128 {
+		t.Fatalf("gpu-tasks=%d cpu-tasks=%d failovers=%d, want 0/128/128",
+			res.TasksByGPU, res.TasksByCPU, res.Failovers)
+	}
+}
