@@ -16,13 +16,15 @@
 #                     BENCH_serve.json and BENCH_affinity.json into a temp
 #                     dir and cmp each against the committed file
 #   make bench-sim    DES-engine dispatch microbenchmarks (ns/event + allocs)
+#   make bench-layers per-layer microbenchmarks: phantom result hash
+#                     (storage) and span emission into the trace ring
 #   make bench-check  perf-regression gate: re-run the perf suite (race
 #                     detector on) and diff against the committed BENCH_perf.json
 #   make all          both gates plus the benchmark artifacts
 
 GO ?= go
 
-.PHONY: all build test vet race lint check strict bench bench-json bench-stream bench-serve bench-affinity bench-identical bench-sim bench-check trace-demo serve-demo ops-demo tail-demo clean
+.PHONY: all build test vet race lint check strict bench bench-json bench-stream bench-serve bench-affinity bench-identical bench-sim bench-layers bench-check trace-demo serve-demo ops-demo tail-demo clean
 
 all: check strict bench-json
 
@@ -164,6 +166,10 @@ bench-identical:
 # workload shapes via `northup-bench -baseline`.
 bench-sim:
 	$(GO) test -bench=. -benchmem -run=^$$ ./internal/sim/
+
+bench-layers:
+	$(GO) test -bench='^(BenchmarkFileFNV64aPhantom|BenchmarkRecorderSpan)$$' \
+		-benchmem -run=^$$ ./internal/storage/ ./internal/trace/
 
 # Perf-regression gate: re-run the paper-scale perf suite under the race
 # detector and diff every metric against the committed baseline with

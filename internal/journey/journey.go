@@ -15,8 +15,8 @@
 package journey
 
 import (
-	"fmt"
 	"hash/fnv"
+	"strconv"
 
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -42,11 +42,27 @@ const DefaultMaxSegments = 512
 // TraceID derives the deterministic identifier of one job from the
 // scenario seed, the tenant name and the tenant-local job index — the same
 // triple that determines the job's traffic, so the ID is stable across
-// runs, machines and exports.
+// runs, machines and exports. It is the sixteen-hex-char FNV-1a 64 of
+// "northup/<seed>/<tenant>/<id>", built without fmt: the key is assembled
+// in a stack buffer and the only allocation is the returned string.
 func TraceID(seed int64, tenant string, id int) string {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "northup/%d/%s/%d", seed, tenant, id)
-	return fmt.Sprintf("%016x", h.Sum64())
+	var key [64]byte
+	b := append(key[:0], "northup/"...)
+	b = strconv.AppendInt(b, seed, 10)
+	b = append(b, '/')
+	b = append(b, tenant...)
+	b = append(b, '/')
+	b = strconv.AppendInt(b, int64(id), 10)
+	fh := fnv.New64a()
+	fh.Write(b)
+	h := fh.Sum64()
+	const hexDigits = "0123456789abcdef"
+	var out [16]byte
+	for i := len(out) - 1; i >= 0; i-- {
+		out[i] = hexDigits[h&0xf]
+		h >>= 4
+	}
+	return string(out[:])
 }
 
 // Segment is one contiguous stretch of a job's timeline spent in a single

@@ -1,6 +1,9 @@
 package journey
 
 import (
+	"fmt"
+	"hash/fnv"
+	"math"
 	"strings"
 	"testing"
 
@@ -22,6 +25,43 @@ func TestTraceIDDeterministic(t *testing.T) {
 			t.Fatalf("trace ID collision on %q", id)
 		}
 		distinct[id] = true
+	}
+}
+
+// TestTraceIDMatchesFormula pins the fmt-free TraceID to the formula it
+// implements (fnv64a of "northup/<seed>/<tenant>/<id>" as sixteen hex
+// chars), over seeds at the int64 edges, empty and long tenant names, and
+// IDs whose hashes have leading zero nibbles.
+func TestTraceIDMatchesFormula(t *testing.T) {
+	formula := func(seed int64, tenant string, id int) string {
+		h := fnv.New64a()
+		fmt.Fprintf(h, "northup/%d/%s/%d", seed, tenant, id)
+		return fmt.Sprintf("%016x", h.Sum64())
+	}
+	long := strings.Repeat("tenant-", 20) // key outgrows the stack buffer
+	for _, seed := range []int64{0, 1, 7, -1, -42, math.MaxInt64, math.MinInt64} {
+		for _, tenant := range []string{"", "a", "bursty", "interactive", long} {
+			for id := 0; id < 300; id++ {
+				if got, want := TraceID(seed, tenant, id), formula(seed, tenant, id); got != want {
+					t.Fatalf("TraceID(%d, %q, %d) = %s, want %s", seed, tenant, id, got, want)
+				}
+			}
+		}
+	}
+	// Literal goldens, so a change to the formula itself is caught too.
+	for _, g := range []struct {
+		seed   int64
+		tenant string
+		id     int
+		want   string
+	}{
+		{7, "bursty", 42, "a3eca1d9e657c0bc"},
+		{0, "", 0, "bbb1b8d2a861d054"},
+		{-1, "batch", 3, "65fc12ecd4407511"},
+	} {
+		if got := TraceID(g.seed, g.tenant, g.id); got != g.want {
+			t.Fatalf("TraceID(%d, %q, %d) = %s, want %s", g.seed, g.tenant, g.id, got, g.want)
+		}
 	}
 }
 

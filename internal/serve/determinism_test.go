@@ -586,6 +586,68 @@ func TestJourneySamplingDeterministic(t *testing.T) {
 	}
 }
 
+// TestJourneyBehindListsMatchDerivedIDs is the oracle for the queued-behind
+// edges. At sample 1.0 every queued job already has a journey, so Behind is
+// built from the queued journeys' own IDs; at 0.5 about half the queued
+// jobs are unsampled and their IDs are derived afresh. Sampling does not
+// change the schedule, so a job journeyed in both runs must wait behind the
+// same list, and every entry must be the derived trace ID of a lower-id job
+// of the same tenant.
+func TestJourneyBehindListsMatchDerivedIDs(t *testing.T) {
+	const seed = 71
+	behind := func(sample float64) map[string][]string {
+		scn := detScenario(seed)
+		for i := range scn.Tenants {
+			scn.Tenants[i].Rate *= 20
+			scn.Tenants[i].MaxJobs *= 2
+		}
+		scn.Journeys = JourneySpec{Enabled: true, Sample: sample}
+		scn.applyDefaults()
+		e, err := New(scn, RunOptions{Phantom: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		out := make(map[string][]string)
+		for _, j := range e.Journeys().Jobs() {
+			earlier := make(map[string]bool, j.ID)
+			for id := 0; id < j.ID; id++ {
+				earlier[journey.TraceID(seed, j.Tenant, id)] = true
+			}
+			for _, b := range j.Behind {
+				if !earlier[b] {
+					t.Fatalf("sample %g: job %s/%d queued behind %s, not a lower-id %s job",
+						sample, j.Tenant, j.ID, b, j.Tenant)
+				}
+			}
+			out[j.TraceID] = j.Behind
+		}
+		return out
+	}
+	full, half := behind(1.0), behind(0.5)
+	queued, derived := 0, 0
+	for id, h := range half {
+		f, ok := full[id]
+		if !ok {
+			t.Fatalf("job %s journeyed at sample 0.5 but not at 1.0", id)
+		}
+		if !reflect.DeepEqual(f, h) {
+			t.Fatalf("job %s: behind list %v at sample 1.0, %v at 0.5", id, f, h)
+		}
+		queued += len(h)
+		for _, b := range h {
+			if _, sampled := half[b]; !sampled {
+				derived++
+			}
+		}
+	}
+	if queued == 0 || derived == 0 {
+		t.Fatalf("scenario too light to test both paths: %d queued entries, %d derived", queued, derived)
+	}
+}
+
 // TestRejectReasonsAndInstants forces all three admission-rejection causes'
 // machinery through a starved tenant: the reason-labelled counter totals
 // must equal the admission-reject instants in the trace stream, and both

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"sort"
 
@@ -175,19 +174,13 @@ func (jb *job) body(e *Engine) func(*core.Ctx) (uint64, error) {
 
 // fileHash fingerprints a simulated output file (FNV-1a over its bytes)
 // outside simulated time. Phantom runs hash an unwritten file, which reads
-// as zeros — still deterministic.
-func fileHash(b *core.Buffer) uint64 {
+// as zeros — still deterministic, and folded in O(log size) by FNV64a.
+func fileHash(b *core.Buffer) (uint64, error) {
 	f := b.File()
 	if f == nil {
-		return 0
+		return 0, fmt.Errorf("serve: result buffer %d is not on storage", b.ID())
 	}
-	buf := make([]byte, f.Size())
-	if f.Peek(buf, 0) != nil {
-		return 0
-	}
-	h := fnv.New64a()
-	h.Write(buf)
-	return h.Sum64()
+	return f.FNV64a()
 }
 
 // gemmBody computes C = A x B with B resident in the tenant's staging
@@ -274,7 +267,7 @@ func (jb *job) gemmBody(e *Engine) func(*core.Ctx) (uint64, error) {
 		if err != nil {
 			return 0, err
 		}
-		return fileHash(fC), nil
+		return fileHash(fC)
 	}
 }
 
@@ -376,7 +369,7 @@ func (jb *job) spmvBody(e *Engine) func(*core.Ctx) (uint64, error) {
 		if err != nil {
 			return 0, err
 		}
-		return fileHash(fY), nil
+		return fileHash(fY)
 	}
 }
 
@@ -462,7 +455,7 @@ func (jb *job) hotspotBody(e *Engine) func(*core.Ctx) (uint64, error) {
 		if err != nil {
 			return 0, err
 		}
-		return fileHash(fT), nil
+		return fileHash(fT)
 	}
 }
 
@@ -576,6 +569,6 @@ func (jb *job) sortBody(e *Engine) func(*core.Ctx) (uint64, error) {
 		if err != nil {
 			return 0, err
 		}
-		return fileHash(fOut), nil
+		return fileHash(fOut)
 	}
 }

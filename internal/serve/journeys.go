@@ -42,6 +42,10 @@ func (e *Engine) sampleJourney(t *tenantState, jb *job) {
 	if queued := t.q.Snapshot(); len(queued) > 0 {
 		behind = make([]string, 0, len(queued))
 		for _, q := range queued {
+			if q.jny != nil {
+				behind = append(behind, q.jny.TraceID)
+				continue
+			}
 			behind = append(behind, journey.TraceID(e.scn.Seed, q.tenant, q.id))
 		}
 	}

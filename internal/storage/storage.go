@@ -16,6 +16,7 @@ package storage
 
 import (
 	"fmt"
+	"hash/fnv"
 	"sort"
 
 	"repro/internal/device"
@@ -193,6 +194,33 @@ func (f *File) Peek(buf []byte, off int64) error {
 		}
 	}
 	return nil
+}
+
+// fnvPrime64 is the FNV-1a 64-bit prime (hash/fnv's New64a multiplier).
+const fnvPrime64 = 1099511628211
+
+// FNV64a returns the 64-bit FNV-1a hash of the file's whole logical
+// content, equal to hash/fnv's New64a over Peek of [0, Size), with no
+// simulated time and no allocation. It hashes the written prefix in place;
+// the unwritten tail reads as zero, and a zero byte leaves the XOR step
+// unchanged, so k tail bytes fold in as one multiplication by prime^k
+// (square-and-multiply, mod 2^64). The cost is O(written bytes), which
+// makes phantom-mode files — never written — O(log size) to fingerprint.
+func (f *File) FNV64a() (uint64, error) {
+	if err := f.checkRange("hash", 0, 0); err != nil {
+		return 0, err
+	}
+	h := fnv.New64a()
+	h.Write(f.data)
+	pow := uint64(1)
+	base := uint64(fnvPrime64)
+	for k := f.size - int64(len(f.data)); k > 0; k >>= 1 {
+		if k&1 == 1 {
+			pow *= base
+		}
+		base *= base
+	}
+	return h.Sum64() * pow, nil
 }
 
 // ReadAt2D reads a 2-D block of rows*rowBytes bytes laid out with the given

@@ -2,6 +2,8 @@ package storage
 
 import (
 	"bytes"
+	"hash/fnv"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -231,6 +233,88 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFNV64aMatchesHashingPeekProperty checks the zero-tail fold against
+// the reference: hash/fnv's New64a over the whole file read back by Peek.
+// Sizes are random (0 included); the written content is none, a prefix, or
+// a middle range, so the file's data buffer ends before, at, or well short
+// of its logical size.
+func TestFNV64aMatchesHashingPeekProperty(t *testing.T) {
+	f := func(sizeRaw uint16, mode uint8, aRaw, bRaw uint16, seed int64) bool {
+		size := int64(sizeRaw)
+		if mode%4 == 3 {
+			size = 0
+		}
+		s := newTestStore(sim.NewEngine())
+		file, err := s.Create("f", size)
+		if err != nil {
+			return false
+		}
+		lo, hi := int64(0), int64(0)
+		if size > 0 {
+			lo, hi = int64(aRaw)%(size+1), int64(bRaw)%(size+1)
+			if lo > hi {
+				lo, hi = hi, lo
+			}
+		}
+		switch mode % 4 {
+		case 1: // a prefix
+			lo = 0
+		case 2: // a middle range
+		default: // nothing written
+			lo, hi = 0, 0
+		}
+		if hi > lo {
+			data := make([]byte, hi-lo)
+			rand.New(rand.NewSource(seed)).Read(data)
+			if err := file.Preload(data, lo); err != nil {
+				return false
+			}
+		}
+		got, err := file.FNV64a()
+		if err != nil {
+			return false
+		}
+		whole := make([]byte, size)
+		if err := file.Peek(whole, 0); err != nil {
+			return false
+		}
+		ref := fnv.New64a()
+		ref.Write(whole)
+		return got == ref.Sum64()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestFNV64aOfRemovedFileFails(t *testing.T) {
+	s := newTestStore(sim.NewEngine())
+	f, _ := s.Create("a", 100)
+	if err := s.Remove("a"); err != nil {
+		t.Fatal(err)
+	}
+	if h, err := f.FNV64a(); err == nil {
+		t.Fatalf("hash of removed file = %#x, want an error", h)
+	}
+}
+
+// BenchmarkFileFNV64aPhantom fingerprints a 1 MiB file that was never
+// written, as a phantom-mode serve job's output is: the zero-tail fold
+// makes it O(log size) with no allocation.
+func BenchmarkFileFNV64aPhantom(b *testing.B) {
+	s := newTestStore(sim.NewEngine())
+	f, err := s.Create("out", device.MiB)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := f.FNV64a(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

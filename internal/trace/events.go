@@ -119,20 +119,30 @@ type Options struct {
 	MaxEvents int
 }
 
+// ringBlock is the number of events per storage block of a Recorder's
+// ring. Blocks are allocated on first touch and never copied, so the ring
+// costs nothing until used and grows toward MaxEvents without the
+// reallocate-and-copy steps of an appended slice.
+const ringBlock = 4096
+
 // Recorder accumulates the event stream of a run. It must be driven from
 // the single simulation goroutine (like every other simulation structure)
 // and therefore needs no locking.
 type Recorder struct {
-	max     int
-	buf     []Event // grows to max, then wraps
-	head    int     // index of the oldest event once wrapped
-	wrapped bool
+	max int
+	// blocks holds ring slot i at blocks[i/ringBlock][i%ringBlock]. Slots
+	// fill in index order until the ring is full, so blocks are appended
+	// in order; the last one is short when max is not a block multiple.
+	blocks  [][]Event
+	n       int // retained events; grows to max, then stays
+	head    int // slot of the oldest event (nonzero only once full)
 	seq     uint64
 	dropped int64
 	busy    [numCategories]sim.Time
 }
 
-// NewRecorder returns an empty recorder with the given bounds.
+// NewRecorder returns an empty recorder with the given bounds. It
+// allocates no ring storage; blocks arrive as events do.
 func NewRecorder(o Options) *Recorder {
 	max := o.MaxEvents
 	if max <= 0 {
@@ -166,22 +176,40 @@ func (r *Recorder) Counter(lane Lane, name string, t sim.Time, value int64) {
 	r.emit(Event{Kind: KindCounter, Cat: None, Name: name, Lane: lane, Start: t, Value: value})
 }
 
-// emit appends the event to the ring, dropping the oldest when full.
+// emit stores the event in the ring, overwriting the oldest when full.
 func (r *Recorder) emit(ev Event) {
 	ev.Seq = r.seq
 	r.seq++
-	if len(r.buf) < r.max {
-		r.buf = append(r.buf, ev)
-		return
+	i := r.n
+	if r.n < r.max {
+		r.n++
+	} else {
+		i = r.head
+		r.head = (r.head + 1) % r.max
+		r.dropped++
 	}
-	r.buf[r.head] = ev
-	r.head = (r.head + 1) % r.max
-	r.wrapped = true
-	r.dropped++
+	b := i / ringBlock
+	if b == len(r.blocks) {
+		r.blocks = append(r.blocks, make([]Event, min(ringBlock, r.max-b*ringBlock)))
+	}
+	r.blocks[b][i%ringBlock] = ev
+}
+
+// appendSlots appends ring slots [lo, hi) to out, one block run at a time.
+func (r *Recorder) appendSlots(out []Event, lo, hi int) []Event {
+	for lo < hi {
+		blk := r.blocks[lo/ringBlock][lo%ringBlock:]
+		if len(blk) > hi-lo {
+			blk = blk[:hi-lo]
+		}
+		out = append(out, blk...)
+		lo += len(blk)
+	}
+	return out
 }
 
 // Len returns the number of retained events.
-func (r *Recorder) Len() int { return len(r.buf) }
+func (r *Recorder) Len() int { return r.n }
 
 // Dropped returns how many events the bounded ring discarded.
 func (r *Recorder) Dropped() int64 { return r.dropped }
@@ -198,41 +226,44 @@ func (r *Recorder) CategoryBusy(c Category) sim.Time {
 // Events returns the retained events in emission order (completion order
 // for spans). The slice is a copy; callers may sort it freely.
 func (r *Recorder) Events() []Event {
-	out := make([]Event, 0, len(r.buf))
-	if r.wrapped {
-		out = append(out, r.buf[r.head:]...)
-		out = append(out, r.buf[:r.head]...)
-		return out
-	}
-	return append(out, r.buf...)
+	out := make([]Event, 0, r.n)
+	out = r.appendSlots(out, r.head, r.n)
+	return r.appendSlots(out, 0, r.head)
 }
 
 // Window returns the earliest start and latest end over the retained
 // events, the default analysis window of the trace tools. ok is false for
 // an empty recorder.
 func (r *Recorder) Window() (start, end sim.Time, ok bool) {
-	if len(r.buf) == 0 {
+	if r.n == 0 {
 		return 0, 0, false
 	}
 	first := true
-	for i := range r.buf {
-		ev := &r.buf[i]
-		if first || ev.Start < start {
-			start = ev.Start
+	left := r.n
+	for _, blk := range r.blocks {
+		if len(blk) > left {
+			blk = blk[:left]
 		}
-		if first || ev.End() > end {
-			end = ev.End()
+		left -= len(blk)
+		for i := range blk {
+			ev := &blk[i]
+			if first || ev.Start < start {
+				start = ev.Start
+			}
+			if first || ev.End() > end {
+				end = ev.End()
+			}
+			first = false
 		}
-		first = false
 	}
 	return start, end, true
 }
 
-// Reset clears the ring, counters and totals between measured phases.
+// Reset clears the ring, counters and totals between measured phases. The
+// allocated blocks are kept for reuse.
 func (r *Recorder) Reset() {
-	r.buf = r.buf[:0]
+	r.n = 0
 	r.head = 0
-	r.wrapped = false
 	r.seq = 0
 	r.dropped = 0
 	r.busy = [numCategories]sim.Time{}

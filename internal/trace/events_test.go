@@ -61,6 +61,112 @@ func TestRecorderRingDropsOldestButKeepsTotals(t *testing.T) {
 	}
 }
 
+// ringOracle is the naive reference for Recorder's ring: every emitted
+// event in one slice, the retained ones being its last max entries.
+type ringOracle struct {
+	max  int
+	all  []Event
+	busy [numCategories]sim.Time
+}
+
+func (o *ringOracle) emit(ev Event) {
+	ev.Seq = uint64(len(o.all))
+	if ev.Kind == KindSpan && ev.Cat >= 0 {
+		o.busy[ev.Cat] += ev.Dur
+	}
+	o.all = append(o.all, ev)
+}
+
+func (o *ringOracle) retained() []Event {
+	if len(o.all) > o.max {
+		return o.all[len(o.all)-o.max:]
+	}
+	return o.all
+}
+
+// TestRecorderRingAcrossBlocksMatchesOracle drives a ring whose capacity is
+// not a multiple of the storage block through about 2.5 wraps of mixed
+// spans, instants and counters, comparing every observable against the
+// naive oracle at block, capacity and wrap edges; then resets and repeats.
+func TestRecorderRingAcrossBlocksMatchesOracle(t *testing.T) {
+	capacity := 3*ringBlock + 17
+	r := NewRecorder(Options{MaxEvents: capacity})
+	rng := rand.New(rand.NewSource(13))
+	lanes := []Lane{{Node: 0, Track: TrackIO}, {Node: 1, Track: TrackGPU}, {Node: NoNode, Track: TrackRuntime}}
+	check := func(o *ringOracle, when string) {
+		t.Helper()
+		want := o.retained()
+		if r.Len() != len(want) {
+			t.Fatalf("%s: Len = %d, want %d", when, r.Len(), len(want))
+		}
+		if d := int64(len(o.all) - len(want)); r.Dropped() != d {
+			t.Fatalf("%s: Dropped = %d, want %d", when, r.Dropped(), d)
+		}
+		got := r.Events()
+		if len(got) != len(want) {
+			t.Fatalf("%s: Events has %d, want %d", when, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: event %d = %+v, want %+v", when, i, got[i], want[i])
+			}
+		}
+		start, end, ok := r.Window()
+		if ok != (len(want) > 0) {
+			t.Fatalf("%s: Window ok = %v with %d events", when, ok, len(want))
+		}
+		if ok {
+			ws, we := want[0].Start, want[0].End()
+			for _, ev := range want {
+				ws, we = min(ws, ev.Start), max(we, ev.End())
+			}
+			if start != ws || end != we {
+				t.Fatalf("%s: Window = [%v, %v), want [%v, %v)", when, start, end, ws, we)
+			}
+		}
+		for _, c := range Categories {
+			if r.CategoryBusy(c) != o.busy[c] {
+				t.Fatalf("%s: CategoryBusy(%v) = %v, want %v", when, c, r.CategoryBusy(c), o.busy[c])
+			}
+		}
+	}
+	run := func(total int, round string) {
+		o := &ringOracle{max: capacity}
+		checkAt := map[int]bool{0: true, 1: true, ringBlock - 1: true, ringBlock: true,
+			ringBlock + 1: true, capacity - 1: true, capacity: true, capacity + 1: true,
+			capacity + ringBlock: true, 2 * capacity: true, total: true}
+		for i := 0; ; i++ {
+			if checkAt[i] {
+				check(o, fmt.Sprintf("%s after %d events", round, i))
+			}
+			if i == total {
+				return
+			}
+			lane := lanes[rng.Intn(len(lanes))]
+			at := sim.Time(rng.Int63n(1 << 30))
+			v := rng.Int63n(1 << 20)
+			var ev Event
+			switch rng.Intn(3) {
+			case 0:
+				cat := Categories[rng.Intn(len(Categories))]
+				d := sim.Time(rng.Int63n(1 << 20))
+				r.Span(lane, cat, "span", at, at+d, v)
+				ev = Event{Kind: KindSpan, Cat: cat, Name: "span", Lane: lane, Start: at, Dur: d, Value: v}
+			case 1:
+				r.Instant(lane, "instant", at, v)
+				ev = Event{Kind: KindInstant, Cat: None, Name: "instant", Lane: lane, Start: at, Value: v}
+			default:
+				r.Counter(lane, "counter", at, v)
+				ev = Event{Kind: KindCounter, Cat: None, Name: "counter", Lane: lane, Start: at, Value: v}
+			}
+			o.emit(ev)
+		}
+	}
+	run(5*capacity/2, "first")
+	r.Reset()
+	run(capacity+ringBlock/2, "after reset")
+}
+
 func TestRecorderSpanPanicsOnNegativeDuration(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -492,5 +598,17 @@ func TestTopNamesAggregationAndClipping(t *testing.T) {
 	}
 	if win[1].Name != "sort" || win[1].Busy != 50 {
 		t.Fatalf("windowed sort = %+v, want busy 50", win[1])
+	}
+}
+
+// BenchmarkRecorderSpan measures one span into a ring that has already
+// wrapped: the amortised steady-state cost of tracing a long run.
+func BenchmarkRecorderSpan(b *testing.B) {
+	r := NewRecorder(Options{MaxEvents: 4 * ringBlock})
+	l := Lane{Node: 1, Track: TrackXfer}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		at := sim.Time(i)
+		r.Span(l, Transfer, "move", at, at+10, 4096)
 	}
 }
