@@ -17,7 +17,8 @@
 #                     dir and cmp each against the committed file
 #   make bench-sim    DES-engine dispatch microbenchmarks (ns/event + allocs)
 #   make bench-layers per-layer microbenchmarks: phantom result hash
-#                     (storage) and span emission into the trace ring
+#                     (storage), span emission into the trace ring, and
+#                     1M-row SpMV row_ptr generation (workload)
 #   make bench-check  perf-regression gate: re-run the perf suite (race
 #                     detector on) and diff against the committed BENCH_perf.json
 #   make all          both gates plus the benchmark artifacts
@@ -168,8 +169,8 @@ bench-sim:
 	$(GO) test -bench=. -benchmem -run=^$$ ./internal/sim/
 
 bench-layers:
-	$(GO) test -bench='^(BenchmarkFileFNV64aPhantom|BenchmarkRecorderSpan)$$' \
-		-benchmem -run=^$$ ./internal/storage/ ./internal/trace/
+	$(GO) test -bench='^(BenchmarkFileFNV64aPhantom|BenchmarkRecorderSpan|BenchmarkSparseRowPtr)$$' \
+		-benchmem -run=^$$ ./internal/storage/ ./internal/trace/ ./internal/workload/
 
 # Perf-regression gate: re-run the paper-scale perf suite under the race
 # detector and diff every metric against the committed baseline with

@@ -2,6 +2,7 @@ package spmv
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/gpu"
@@ -61,6 +62,28 @@ func (cfg *Config) setDefaults() error {
 		cfg.Iters = 1
 	}
 	return nil
+}
+
+// hostMatrix returns the host-side input: the matrix itself in functional
+// runs, and the row structure every run plans from.
+func hostMatrix(cfg Config, functional bool) (*workload.CSR, []int32, error) {
+	switch {
+	case cfg.Matrix != nil:
+		if !functional {
+			return nil, nil, fmt.Errorf("spmv: provided matrices need a functional runtime")
+		}
+		return cfg.Matrix, cfg.Matrix.RowPtr, nil
+	case functional:
+		if m := workload.Sparse(cfg.Kind, cfg.N, cfg.AvgNNZ, cfg.Seed); m != nil {
+			return m, m.RowPtr, nil
+		}
+	default:
+		if rowPtr := workload.SparseRowPtr(cfg.Kind, cfg.N, cfg.AvgNNZ, cfg.Seed); rowPtr != nil {
+			return nil, rowPtr, nil
+		}
+	}
+	return nil, nil, fmt.Errorf("spmv: N=%d AvgNNZ=%d has more non-zeros than the int32 row_ptr limit of %d",
+		cfg.N, cfg.AvgNNZ, math.MaxInt32)
 }
 
 // Result carries a run's output and measurements.
@@ -148,20 +171,9 @@ func RunNorthup(rt *core.Runtime, cfg Config) (*Result, error) {
 
 	// Host-side planning data: the row structure exists even in phantom
 	// mode (64 MiB at 16M rows); columns and values only functionally.
-	var m *workload.CSR
-	var rowPtrHost []int32
-	switch {
-	case cfg.Matrix != nil:
-		if !functional {
-			return nil, fmt.Errorf("spmv: provided matrices need a functional runtime")
-		}
-		m = cfg.Matrix
-		rowPtrHost = m.RowPtr
-	case functional:
-		m = workload.Sparse(cfg.Kind, n, cfg.AvgNNZ, cfg.Seed)
-		rowPtrHost = m.RowPtr
-	default:
-		rowPtrHost = workload.SparseRowPtr(cfg.Kind, n, cfg.AvgNNZ, cfg.Seed)
+	m, rowPtrHost, err := hostMatrix(cfg, functional)
+	if err != nil {
+		return nil, err
 	}
 	nnz := int64(rowPtrHost[n])
 
@@ -498,20 +510,9 @@ func RunInMemory(rt *core.Runtime, cfg Config) (*Result, error) {
 	}
 	n := cfg.N
 	functional := !rt.Phantom()
-	var m *workload.CSR
-	var rowPtrHost []int32
-	switch {
-	case cfg.Matrix != nil:
-		if !functional {
-			return nil, fmt.Errorf("spmv: provided matrices need a functional runtime")
-		}
-		m = cfg.Matrix
-		rowPtrHost = m.RowPtr
-	case functional:
-		m = workload.Sparse(cfg.Kind, n, cfg.AvgNNZ, cfg.Seed)
-		rowPtrHost = m.RowPtr
-	default:
-		rowPtrHost = workload.SparseRowPtr(cfg.Kind, n, cfg.AvgNNZ, cfg.Seed)
+	m, rowPtrHost, err := hostMatrix(cfg, functional)
+	if err != nil {
+		return nil, err
 	}
 	nnz := int64(rowPtrHost[n])
 

@@ -31,20 +31,9 @@ func RunTasks(rt *core.Runtime, cfg Config, opts taskgraph.Options) (*Result, *t
 	n := cfg.N
 	functional := !rt.Phantom()
 
-	var m *workload.CSR
-	var rowPtrHost []int32
-	switch {
-	case cfg.Matrix != nil:
-		if !functional {
-			return nil, nil, fmt.Errorf("spmv: provided matrices need a functional runtime")
-		}
-		m = cfg.Matrix
-		rowPtrHost = m.RowPtr
-	case functional:
-		m = workload.Sparse(cfg.Kind, n, cfg.AvgNNZ, cfg.Seed)
-		rowPtrHost = m.RowPtr
-	default:
-		rowPtrHost = workload.SparseRowPtr(cfg.Kind, n, cfg.AvgNNZ, cfg.Seed)
+	m, rowPtrHost, err := hostMatrix(cfg, functional)
+	if err != nil {
+		return nil, nil, err
 	}
 	nnz := int64(rowPtrHost[n])
 

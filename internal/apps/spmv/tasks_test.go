@@ -110,3 +110,24 @@ func TestTasksAffinityReducesMovedBytes(t *testing.T) {
 		t.Fatalf("affinity moved %.0f bytes, baseline %.0f — no reduction", aff, base)
 	}
 }
+
+func TestRowPtrOverflowIsAnError(t *testing.T) {
+	// 2^21 banded rows of 2^11 non-zeros: 2^32 in total, past int32.
+	cfg := Config{N: 1 << 21, AvgNNZ: 1 << 11, Kind: workload.SparseBanded, Chunks: 8}
+	for _, phantom := range []bool{true, false} {
+		rt, _ := newTaskRuntime(phantom, 0)
+		_, _, err := RunTasks(rt, cfg, taskgraph.Options{})
+		if err == nil {
+			t.Fatalf("phantom=%v: overflowing row_ptr accepted", phantom)
+		}
+		for _, want := range []string{"N=2097152", "AvgNNZ=2048", "int32"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("phantom=%v: error %q does not name %s", phantom, err, want)
+			}
+		}
+		rt, _ = newTaskRuntime(phantom, 0)
+		if _, err := RunNorthup(rt, cfg); err == nil || !strings.Contains(err.Error(), "int32") {
+			t.Fatalf("phantom=%v: RunNorthup error %v", phantom, err)
+		}
+	}
+}

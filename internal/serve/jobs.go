@@ -283,7 +283,11 @@ func (jb *job) spmvBody(e *Engine) func(*core.Ctx) (uint64, error) {
 		var xv []float32
 		var xData []byte
 		if !rt.Phantom() {
-			csr = workload.Sparse(workload.SparseUniform, n, spmvAvgNNZ, jb.seed)
+			// maxMixN keeps this far below the int32 row_ptr limit, but a
+			// nil matrix must still fail the job, not panic in the kernel.
+			if csr = workload.Sparse(workload.SparseUniform, n, spmvAvgNNZ, jb.seed); csr == nil {
+				return 0, fmt.Errorf("serve: spmv n %d overflows the int32 row_ptr", n)
+			}
 			xv = workload.Vector(n, jb.seed+1)
 			xData = view.F32Bytes(xv)
 		}

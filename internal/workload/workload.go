@@ -140,59 +140,151 @@ func (k SparseKind) String() string {
 // seed): the row-length structure without materializing columns and values.
 // The out-of-core planner (nnz-adaptive shard splitting, §IV-C) needs
 // exactly this much even in phantom (timing-only) runs, where a 16M-row
-// matrix's values never exist on the host.
+// matrix's values never exist on the host. It returns nil when the total
+// non-zero count would exceed math.MaxInt32, the int32 row_ptr limit.
 func SparseRowPtr(kind SparseKind, n, avgNNZ int, seed int64) []int32 {
 	rng := rand.New(rand.NewSource(seed))
 	rowPtr := make([]int32, n+1)
+	var pl powerLawTable
+	if kind == SparsePowerLaw {
+		pl.build(avgNNZ, n)
+	}
+	total := 0
 	for r := 0; r < n; r++ {
-		rowPtr[r+1] = rowPtr[r] + int32(rowLength(kind, rng, n, avgNNZ, r))
+		total += rowLength(kind, rng, &pl, n, avgNNZ, r)
+		if total > math.MaxInt32 {
+			return nil
+		}
+		rowPtr[r+1] = int32(total)
 	}
 	return rowPtr
 }
 
-// rowLength draws one row's non-zero count.
-func rowLength(kind SparseKind, rng *rand.Rand, n, avgNNZ, row int) int {
+// rowLength draws one row's non-zero count; power-law rows resolve through
+// pl, which build has prepared for (avgNNZ, n).
+func rowLength(kind SparseKind, rng *rand.Rand, pl *powerLawTable, n, avgNNZ, row int) int {
 	var rowLen int
 	switch kind {
 	case SparseUniform:
 		rowLen = avgNNZ/2 + rng.Intn(avgNNZ+1)
 	case SparsePowerLaw:
-		// Zipf-ish via inverse transform; mean scaled to avgNNZ.
-		u := rng.Float64()
-		rowLen = int(float64(avgNNZ) / 3 * math.Pow(u, -0.55))
-		if rowLen > n {
-			rowLen = n
-		}
+		return pl.length(rng.Float64())
 	case SparseBanded:
-		rowLen = avgNNZ
+		// Banded rows clip at the matrix edges, like the fill loop in Sparse.
+		rowLen = max(avgNNZ, 1)
+		return min(rowLen, n-max(row-rowLen/2, 0))
 	}
-	if rowLen < 1 {
-		rowLen = 1
+	return min(max(rowLen, 1), n)
+}
+
+// powerLawExp is the inverse-transform exponent of the power-law rows.
+const powerLawExp = -0.55
+
+// powerLawLen is the reference power-law row length for a uniform draw u:
+// Zipf-ish via inverse transform, mean scaled by c = avgNNZ/3, clamped to
+// [1, n]. It is the single definition; powerLawTable only caches it.
+func powerLawLen(u, c float64, n int) int {
+	return min(max(int(c*math.Pow(u, powerLawExp)), 1), n)
+}
+
+// Power-law lookup table geometry: buckets are indexed by the top
+// plOctaves binary octaves of u (u >= 2^-plOctaves) and the top
+// plMantBits mantissa bits within an octave.
+const (
+	plOctaves  = 32
+	plMantBits = 6
+	plBuckets  = plOctaves << plMantBits
+	// plKeyMin is the smallest Float64bits(u)>>(52-plMantBits) in the
+	// table: biased exponent 1023-plOctaves, mantissa bits zero.
+	plKeyMin = (1023 - plOctaves) << plMantBits
+	// plGuard is the relative band around a bucket edge or step threshold
+	// inside which the table defers to powerLawLen (see build).
+	plGuard = 1e-9
+)
+
+// Bucket kinds; the zero value falls back to powerLawLen.
+const (
+	plFallback uint32 = iota
+	plConst           // every u in the bucket gives k
+	plStep            // u <= b gives k+1, u > b gives k
+)
+
+type plBucket struct {
+	b    float64
+	k    int32
+	kind uint32
+}
+
+// powerLawTable resolves powerLawLen(u, c, n) for most u with one lookup
+// instead of a math.Pow. It is 32 KB, sized to live on the caller's stack.
+type powerLawTable struct {
+	c  float64
+	n  int
+	bk [plBuckets]plBucket
+}
+
+// build prepares t for (avgNNZ, n). The formula is decreasing in u, so a
+// bucket [lo, hi) spans the lengths between kTop, taken just above hi, and
+// kBot, taken just below lo, each widened by plGuard. Equal ends make the
+// bucket constant. Ends one apart make a step at b, the u where
+// c*u^-0.55 == kBot. Wider buckets fall back.
+//
+// The result is exact: outside the guard band, the true c*u^-0.55 is at
+// least ~5e-10 (relative) away from the integer the bucket settles on,
+// while math.Pow errs by ~1e-13 (it takes Exp(-0.45*Log(u)), and
+// |0.45 ln u| <= 335 for every float64 keeps that argument's error under
+// ~7e-14), so the formula floors to the same integer. Inside
+// the band the lookup calls the formula itself. kTop and kBot are already
+// clamped to [1, n]; the clamp is monotone, so a hit needs no second one.
+func (t *powerLawTable) build(avgNNZ, n int) {
+	t.c, t.n, t.bk = float64(avgNNZ)/3, n, [plBuckets]plBucket{}
+	if avgNNZ < 1 {
+		return // every bucket falls back
 	}
-	if kind == SparseBanded {
-		// Banded rows clip at the matrix edges; mirror the fill loop below.
-		half := rowLen / 2
-		lo := row - half
-		count := 0
-		for c := lo; count < rowLen && c < n; c++ {
-			if c >= 0 {
-				count++
+	for i := range t.bk {
+		lo := math.Float64frombits(uint64(plKeyMin+i) << (52 - plMantBits))
+		hi := math.Float64frombits(uint64(plKeyMin+i+1) << (52 - plMantBits))
+		kTop := powerLawLen(hi*(1+plGuard), t.c, n)
+		kBot := powerLawLen(lo*(1-plGuard), t.c, n)
+		switch kBot - kTop {
+		case 0:
+			t.bk[i] = plBucket{k: int32(kTop), kind: plConst}
+		case 1:
+			b := math.Pow(float64(kBot)/t.c, 1/powerLawExp)
+			t.bk[i] = plBucket{b: b, k: int32(kTop), kind: plStep}
+		}
+	}
+}
+
+// length returns powerLawLen(u, t.c, t.n).
+func (t *powerLawTable) length(u float64) int {
+	key := int(math.Float64bits(u) >> (52 - plMantBits))
+	if key >= plKeyMin && key < plKeyMin+plBuckets {
+		switch e := &t.bk[key-plKeyMin]; e.kind {
+		case plConst:
+			return int(e.k)
+		case plStep:
+			if math.Abs(u-e.b) > plGuard*e.b {
+				if u <= e.b {
+					return int(e.k) + 1
+				}
+				return int(e.k)
 			}
 		}
-		return count
 	}
-	if rowLen > n {
-		rowLen = n
-	}
-	return rowLen
+	return powerLawLen(u, t.c, t.n)
 }
 
 // Sparse generates an n x n CSR matrix with roughly avgNNZ non-zeros per
 // row, structured per kind, deterministically from seed. Its row_ptr is
-// bit-identical to SparseRowPtr(kind, n, avgNNZ, seed).
+// bit-identical to SparseRowPtr(kind, n, avgNNZ, seed); like it, Sparse
+// returns nil when the non-zero count would overflow int32.
 func Sparse(kind SparseKind, n, avgNNZ int, seed int64) *CSR {
-	m := &CSR{NRows: n, NCols: n,
-		RowPtr: SparseRowPtr(kind, n, avgNNZ, seed)}
+	rowPtr := SparseRowPtr(kind, n, avgNNZ, seed)
+	if rowPtr == nil {
+		return nil
+	}
+	m := &CSR{NRows: n, NCols: n, RowPtr: rowPtr}
 	nnz := int(m.RowPtr[n])
 	m.ColIdx = make([]int32, 0, nnz)
 	m.Val = make([]float32, 0, nnz)

@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -169,5 +171,133 @@ func TestVectorDeterministic(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatal("vector not deterministic")
 		}
+	}
+}
+
+// bandedRowLenLoop is the row-by-row count rowLength's banded branch used
+// before it became a closed form; it is kept here as the oracle.
+func bandedRowLenLoop(n, avgNNZ, row int) int {
+	rowLen := max(avgNNZ, 1)
+	count := 0
+	for c := row - rowLen/2; count < rowLen && c < n; c++ {
+		if c >= 0 {
+			count++
+		}
+	}
+	return count
+}
+
+func TestBandedRowLengthMatchesLoop(t *testing.T) {
+	for _, n := range []int{1, 2, 7, 100} {
+		for _, avg := range []int{1, 2, 3, 6, 16, n + 5} {
+			for r := 0; r < n; r++ {
+				got := rowLength(SparseBanded, nil, nil, n, avg, r)
+				if want := bandedRowLenLoop(n, avg, r); got != want {
+					t.Fatalf("n=%d avg=%d row %d: %d, loop gives %d", n, avg, r, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestPowerLawTableMatchesFormula walks ±64 ulps around every bucket's
+// lower edge and step threshold, and around both guard edges of each, and
+// requires the table to give powerLawLen's answer at every point.
+func TestPowerLawTableMatchesFormula(t *testing.T) {
+	const n = math.MaxInt32
+	const walk = 64
+	var pl powerLawTable
+	for _, avg := range []int{1, 2, 3, 6, 16, 64, 1000} {
+		pl.build(avg, n)
+		hit := 0.0 // probability that a draw resolves without the formula
+		for i, e := range pl.bk {
+			lo := math.Float64frombits(uint64(plKeyMin+i) << (52 - plMantBits))
+			hi := math.Float64frombits(uint64(plKeyMin+i+1) << (52 - plMantBits))
+			if e.kind != plFallback {
+				hit += hi - lo
+			}
+			centers := []float64{lo}
+			if e.kind == plStep {
+				centers = append(centers, e.b)
+			}
+			for _, x := range centers {
+				for _, edge := range []float64{x, x * (1 - plGuard), x * (1 + plGuard)} {
+					u := edge
+					for k := 0; k < walk; k++ {
+						u = math.Nextafter(u, 0)
+					}
+					for k := 0; k <= 2*walk; k++ {
+						if got, want := pl.length(u), powerLawLen(u, pl.c, n); got != want {
+							t.Fatalf("avg=%d bucket %d u=%v: table %d, formula %d", avg, i, u, got, want)
+						}
+						u = math.Nextafter(u, 1)
+					}
+				}
+			}
+		}
+		if avg <= 64 && hit < 0.95 {
+			t.Errorf("avg=%d: only %.3f of draws resolve without the formula", avg, hit)
+		}
+	}
+}
+
+func TestPowerLawTableEdgeInputs(t *testing.T) {
+	var pl powerLawTable
+	pl.build(16, 1000)
+	for _, u := range []float64{0, math.SmallestNonzeroFloat64, 0x1p-33, 0x1p-32,
+		math.Nextafter(0x1p-32, 0), 0.5, math.Nextafter(1, 0)} {
+		if got, want := pl.length(u), powerLawLen(u, pl.c, pl.n); got != want {
+			t.Fatalf("u=%v: table %d, formula %d", u, got, want)
+		}
+	}
+	pl.build(0, 1000) // no table: every lookup falls back
+	if got := pl.length(0.5); got != 1 {
+		t.Fatalf("avgNNZ 0: length %d, want the clamp floor 1", got)
+	}
+}
+
+// TestSparseRowPtrMatchesPowerLawFormula compares the table-driven
+// generator with a plain loop over powerLawLen and the same rng stream.
+func TestSparseRowPtrMatchesPowerLawFormula(t *testing.T) {
+	for _, n := range []int{1, 7, 100, 333, 1 << 20} {
+		for _, seed := range []int64{1, 9001, 21, -5} {
+			avg := 16
+			if seed == 21 {
+				avg = 3
+			}
+			got := SparseRowPtr(SparsePowerLaw, n, avg, seed)
+			rng := rand.New(rand.NewSource(seed))
+			want := int32(0)
+			for r := 0; r < n; r++ {
+				want += int32(powerLawLen(rng.Float64(), float64(avg)/3, n))
+				if got[r+1] != want {
+					t.Fatalf("n=%d seed=%d avg=%d: row_ptr[%d] = %d, formula gives %d",
+						n, seed, avg, r+1, got[r+1], want)
+				}
+			}
+		}
+	}
+}
+
+func TestSparseRowPtrRejectsInt32Overflow(t *testing.T) {
+	// 2^21 banded rows of 2^11 non-zeros pass math.MaxInt32 near row 2^20.
+	if rp := SparseRowPtr(SparseBanded, 1<<21, 1<<11, 1); rp != nil {
+		t.Fatalf("overflowing row_ptr accepted: last entry %d", rp[len(rp)-1])
+	}
+	if m := Sparse(SparseBanded, 1<<21, 1<<11, 1); m != nil {
+		t.Fatal("Sparse accepted an overflowing matrix")
+	}
+}
+
+// BenchmarkSparseRowPtr measures row-structure generation at 1M rows; the
+// power-law rows resolve through the stack-held lookup table.
+func BenchmarkSparseRowPtr(b *testing.B) {
+	for _, kind := range []SparseKind{SparsePowerLaw, SparseUniform} {
+		b.Run(kind.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				SparseRowPtr(kind, 1<<20, 16, 1)
+			}
+		})
 	}
 }
