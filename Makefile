@@ -17,8 +17,9 @@
 #                     dir and cmp each against the committed file
 #   make bench-sim    DES-engine dispatch microbenchmarks (ns/event + allocs)
 #   make bench-layers per-layer microbenchmarks: phantom result hash
-#                     (storage), span emission into the trace ring, and
-#                     1M-row SpMV row_ptr generation (workload)
+#                     (storage), span emission into the trace ring,
+#                     1M-row SpMV row_ptr generation (workload), and one
+#                     256-task Graph.Run per placer (deques and task graph)
 #   make bench-check  perf-regression gate: re-run the perf suite (race
 #                     detector on) and diff against the committed BENCH_perf.json
 #   make all          both gates plus the benchmark artifacts
@@ -169,8 +170,9 @@ bench-sim:
 	$(GO) test -bench=. -benchmem -run=^$$ ./internal/sim/
 
 bench-layers:
-	$(GO) test -bench='^(BenchmarkFileFNV64aPhantom|BenchmarkRecorderSpan|BenchmarkSparseRowPtr)$$' \
-		-benchmem -run=^$$ ./internal/storage/ ./internal/trace/ ./internal/workload/
+	$(GO) test -bench='^(BenchmarkFileFNV64aPhantom|BenchmarkRecorderSpan|BenchmarkSparseRowPtr|BenchmarkGraphRun)$$' \
+		-benchmem -run=^$$ ./internal/storage/ ./internal/trace/ ./internal/workload/ \
+		./internal/taskgraph/
 
 # Perf-regression gate: re-run the paper-scale perf suite under the race
 # detector and diff every metric against the committed baseline with

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/sched"
-	"repro/internal/sim"
 	"repro/internal/topo"
 	"repro/internal/view"
 	"repro/internal/workload"
@@ -116,43 +115,35 @@ func RunMultiBranch(rt *core.Runtime, cfg MultiBranchConfig) (*MultiBranchResult
 	res := &MultiBranchResult{ChunksByBranch: make([]int, len(branches))}
 
 	stats, err := rt.Run("hotspot-multibranch", func(c *core.Ctx) error {
-		// The root work queue tracks chunk tasks (Listing 1); with the
-		// static policy each branch gets its own pre-filled queue instead.
-		var shared *sched.Deque[int]
-		var perBranch []*sched.Deque[int]
+		// The root work queue tracks chunk tasks (Listing 1): one queue every
+		// branch pops under the dynamic policy, one pre-filled queue per
+		// branch under the static one.
 		ids := make([]int, chunks)
 		for i := range ids {
 			ids[i] = i
 		}
+		var queues []*sched.Deque[int]
 		if cfg.Policy == DynamicQueue {
-			shared = sched.NewDeque[int]("root-chunks")
+			shared := sched.NewDeque[int]("root-chunks")
 			for _, id := range ids {
 				shared.PushTail(id)
 			}
-			root.Queues = []sched.Monitor{shared}
+			queues = []*sched.Deque[int]{shared}
 		} else {
-			perBranch = sched.Partition(ids, len(branches), "branch")
-			mons := make([]sched.Monitor, len(perBranch))
-			for i, q := range perBranch {
-				mons[i] = q
-			}
-			root.Queues = mons
+			queues = sched.Partition(ids, len(branches), "branch")
 		}
+		mons := make([]sched.Monitor, len(queues))
+		for i, q := range queues {
+			mons[i] = q
+		}
+		defer root.AttachQueues(mons...)()
 
-		wg := sim.NewWaitGroup(c.Runtime().Engine())
+		joins := make([]*core.Join, len(branches))
 		for bi, branch := range branches {
-			bi, branch := bi, branch
-			wg.Add(1)
-			c.Spawn(fmt.Sprintf("branch%d", bi), c.Node(), func(sub *core.Ctx) error {
-				defer wg.Done()
-				next := func() (int, bool) {
-					if cfg.Policy == DynamicQueue {
-						return shared.StealHead()
-					}
-					return perBranch[bi].StealHead()
-				}
+			joins[bi] = c.Spawn(fmt.Sprintf("branch%d", bi), c.Node(), func(sub *core.Ctx) error {
+				own := queues[bi%len(queues)]
 				for {
-					ci, ok := next()
+					ci, ok := own.StealHead()
 					if !ok {
 						return nil
 					}
@@ -164,8 +155,13 @@ func RunMultiBranch(rt *core.Runtime, cfg MultiBranchConfig) (*MultiBranchResult
 				}
 			})
 		}
-		wg.Wait(c.Proc())
-		return nil
+		var first error
+		for _, j := range joins {
+			if err := j.Wait(c); err != nil && first == nil {
+				first = err
+			}
+		}
+		return first
 	})
 	if err != nil {
 		return nil, err
@@ -188,28 +184,21 @@ func processBranchChunk(sub *core.Ctx, branch *topo.Node, cfg MultiBranchConfig,
 	fIn, fOut, fP, fB *core.Buffer, functional bool) error {
 
 	d := cfg.ChunkDim
-	tin, err := sub.AllocAt(branch, chunkBytes)
-	if err != nil {
-		return err
-	}
-	tout, err := sub.AllocAt(branch, chunkBytes)
-	if err != nil {
-		return err
-	}
-	pow, err := sub.AllocAt(branch, chunkBytes)
-	if err != nil {
-		return err
-	}
-	bord, err := sub.AllocAt(branch, borderBytes)
-	if err != nil {
-		return err
-	}
+	// Release whatever was allocated, also when a later allocation fails.
+	var bufs []*core.Buffer
 	defer func() {
-		sub.Release(tin)
-		sub.Release(tout)
-		sub.Release(pow)
-		sub.Release(bord)
+		for _, b := range bufs {
+			sub.Release(b)
+		}
 	}()
+	for _, size := range []int64{chunkBytes, chunkBytes, chunkBytes, borderBytes} {
+		b, err := sub.AllocAt(branch, size)
+		if err != nil {
+			return err
+		}
+		bufs = append(bufs, b)
+	}
+	tin, tout, pow, bord := bufs[0], bufs[1], bufs[2], bufs[3]
 	if err := sub.MoveData(tin, fIn, 0, int64(ci)*chunkBytes, chunkBytes); err != nil {
 		return err
 	}
@@ -219,7 +208,7 @@ func processBranchChunk(sub *core.Ctx, branch *topo.Node, cfg MultiBranchConfig,
 	if err := sub.MoveData(bord, fB, 0, borderOff(ci, d), borderBytes); err != nil {
 		return err
 	}
-	err = sub.Descend(branch, func(lc *core.Ctx) error {
+	err := sub.Descend(branch, func(lc *core.Ctx) error {
 		var blk *Block
 		if functional {
 			blk = &Block{

@@ -106,3 +106,39 @@ func TestMultiBranchValidation(t *testing.T) {
 		t.Fatal("invalid config accepted")
 	}
 }
+
+// namedMonitor is a work-queue monitor another scheduler left on the root.
+type namedMonitor string
+
+func (m namedMonitor) Name() string { return string(m) }
+func (m namedMonitor) Len() int     { return 0 }
+
+// TestMultiBranchFailureCleansUp runs chunks too large for the branches'
+// staging memory (three 1 MiB chunk buffers into 2 MiB): the allocation
+// error must reach the caller, the buffers allocated before the failing
+// one must be released on every branch, and the run must detach exactly
+// the root queues it attached.
+func TestMultiBranchFailureCleansUp(t *testing.T) {
+	for _, policy := range []BranchPolicy{StaticPartition, DynamicQueue} {
+		rt := newMultiBranchRuntime(true, []bool{false, false}, 2)
+		root := rt.Tree().Root()
+		other := namedMonitor("other-job")
+		detach := root.AttachQueues(other)
+		_, err := RunMultiBranch(rt, MultiBranchConfig{N: 1024, ChunkDim: 512, Iters: 1, Policy: policy})
+		if err == nil {
+			t.Fatalf("%v: oversized chunks ran without an error", policy)
+		}
+		for _, b := range root.Children {
+			if free, capacity := b.Mem.Free(), b.Mem.Capacity(); free != capacity {
+				t.Errorf("%v: branch %v free %d of %d bytes after the run", policy, b, free, capacity)
+			}
+		}
+		if len(root.Queues) != 1 || root.Queues[0] != other {
+			t.Errorf("%v: root queues after the run = %v, want only the pre-attached monitor", policy, root.Queues)
+		}
+		detach()
+		if len(root.Queues) != 0 {
+			t.Errorf("%v: %d root queues left after detaching", policy, len(root.Queues))
+		}
+	}
+}

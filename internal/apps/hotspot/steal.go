@@ -189,56 +189,13 @@ func stealCompute(lc *core.Ctx, blk *Block, d int, cfg StealConfig, res *StealRe
 	gpuQueues := queues[:cfg.GPUQueues]
 	cpuQueues := queues[cfg.GPUQueues:]
 
-	// Expose the queues on the tree node so subtree load is observable, as
-	// Listing 1's work_queue links intend. Attach/detach (rather than an
-	// assignment) keeps the registration correct when several jobs schedule
-	// on this node concurrently, and removes the monitors when the chunk is
-	// done so no stale queues linger on the shared tree.
-	monitors := make([]sched.Monitor, len(queues))
-	for i, q := range queues {
-		monitors[i] = q
-	}
-	detach := lc.Node().AttachQueues(monitors...)
-	defer detach()
-
-	// With tracing active, every steal becomes an instant on the victim
-	// queue's lane; with metrics active, pushes/pops/steals maintain the
-	// node's live depth gauge and the pop/steal totals. The depth goes
-	// through this scheduler's own additive slot, so concurrent jobs on
-	// the node sum instead of overwriting each other; Close withdraws the
-	// contribution when the chunk is done. Hook closures are only built
-	// when someone listens.
-	rtm := lc.Runtime()
-	traceOn := rtm.TraceRecorder() != nil
-	metricsOn := rtm.MetricsEnabled()
-	depthSlot := rtm.NewQueueDepthSlot(nodeID)
-	defer depthSlot.Close()
-	if traceOn || metricsOn {
-		noteDepth := func() {
-			if metricsOn {
-				depthSlot.Set(int64(sched.TotalLen(queues)))
-			}
-		}
-		for i, q := range queues {
-			qi := int64(i)
-			q.OnSteal = func() {
-				if traceOn {
-					lc.TraceInstant(trace.TrackQueue, "steal", qi)
-				}
-				if metricsOn {
-					rtm.NoteSteals(1)
-				}
-				noteDepth()
-			}
-			if metricsOn {
-				q.OnPush = noteDepth
-				q.OnPop = func() {
-					rtm.NotePops(1)
-					noteDepth()
-				}
-			}
-		}
-	}
+	// Expose the queues on the tree node so subtree load is observable, and
+	// trace steals and maintain the node's depth gauge and pop/steal totals
+	// while the chunk runs. The depth goes through this scheduler's own
+	// additive slot, so concurrent jobs on the node sum instead of
+	// overwriting each other; release withdraws it and detaches the queues.
+	depthSlot, release := core.WatchDeques(lc, lc.Node(), queues)
+	defer release()
 
 	runRow := func(t rowTask) {
 		if blk != nil {

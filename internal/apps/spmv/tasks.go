@@ -68,7 +68,7 @@ func RunTasks(rt *core.Runtime, cfg Config, opts taskgraph.Options) (*Result, *t
 
 	workers := opts.Workers
 	if workers < 1 {
-		workers = 2
+		workers = taskgraph.DefaultWorkers
 	}
 
 	// Shard budget as in RunNorthup, but sized for the worker pool: each

@@ -4,7 +4,9 @@ import (
 	"strconv"
 
 	"repro/internal/obs"
+	"repro/internal/sched"
 	"repro/internal/sim"
+	"repro/internal/topo"
 	"repro/internal/trace"
 )
 
@@ -369,6 +371,45 @@ func (s *QueueDepthSlot) Close() {
 	}
 	s.Set(0)
 	s.closed = true
+}
+
+// WatchDeques instruments one leaf scheduler's deques for its lifetime: it
+// attaches them as work-queue monitors on node (Listing 1's work_queue
+// links, so subtree load is observable) and opens the scheduler's depth
+// slot there. With tracing on, every steal becomes an instant on c's queue
+// lane carrying the victim's index; with metrics on, pushes, pops and
+// steals republish the deques' total depth through the slot and feed the
+// pop/steal totals. Hook closures are only built when someone listens.
+// release closes the slot and detaches the monitors.
+func WatchDeques[T any](c *Ctx, node *topo.Node, qs []*sched.Deque[T]) (slot *QueueDepthSlot, release func()) {
+	monitors := make([]sched.Monitor, len(qs))
+	for i, q := range qs {
+		monitors[i] = q
+	}
+	detach := node.AttachQueues(monitors...)
+	rt := c.rt
+	slot = rt.NewQueueDepthSlot(node.ID)
+	if rt.rec != nil || rt.met != nil {
+		noteDepth := func() { slot.Set(int64(sched.TotalLen(qs))) }
+		for i, q := range qs {
+			q.OnSteal = func() {
+				c.TraceInstant(trace.TrackQueue, "steal", int64(i))
+				rt.NoteSteals(1)
+				noteDepth()
+			}
+			if rt.met != nil {
+				q.OnPush = noteDepth
+				q.OnPop = func() {
+					rt.NotePops(1)
+					noteDepth()
+				}
+			}
+		}
+	}
+	return slot, func() {
+		slot.Close()
+		detach()
+	}
 }
 
 // NoteSchedPlacement records one task-graph placement decision: policy is

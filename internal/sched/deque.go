@@ -34,6 +34,7 @@ type Deque[T any] struct {
 	// a node-level aggregate (a depth gauge), each must publish through its
 	// own additive slot (core.Runtime.NewQueueDepthSlot) rather than writing
 	// an absolute total, or concurrent jobs clobber each other's value.
+	// Leaf schedulers install the standard hooks with core.WatchDeques.
 	OnPush  func()
 	OnPop   func()
 	OnSteal func()

@@ -153,7 +153,7 @@ func conflicts(prev, t *Task) bool {
 
 // Options configures one Graph.Run.
 type Options struct {
-	// Workers is the worker-pool width (default 2).
+	// Workers is the worker-pool width (default DefaultWorkers).
 	Workers int
 
 	// Affinity switches residency-aware placement on. Off, the pool runs
@@ -214,15 +214,9 @@ func fetchSeconds(src *core.Buffer, at *topo.Node, n int64) float64 {
 	return float64(n) / bw
 }
 
-// firstErr latches the first error a worker reports.
-type firstErr struct{ err error }
-
-func (f *firstErr) record(err error) {
-	if err != nil && f.err == nil {
-		f.err = err
-	}
-}
-func (f *firstErr) failed() bool { return f.err != nil }
+// DefaultWorkers is the worker-pool width Graph.Run uses when
+// Options.Workers is below 1.
+const DefaultWorkers = 2
 
 // Run executes the graph on a pool of workers spawned at c's node and
 // returns dispatch statistics plus the first task error (remaining tasks
@@ -230,6 +224,9 @@ func (f *firstErr) failed() bool { return f.err != nil }
 // in the metrics registry (northup_sched_* series) and emitted as trace
 // instants on the queue track, so both policies are visible in the
 // existing tooling.
+//
+// There is one worker loop; the policy is the placer it consults for the
+// next ready task (see placer).
 func (g *Graph) Run(c *core.Ctx, o Options) (*Stats, error) {
 	st := &Stats{Tasks: len(g.tasks)}
 	if len(g.tasks) == 0 {
@@ -237,318 +234,253 @@ func (g *Graph) Run(c *core.Ctx, o Options) (*Stats, error) {
 	}
 	workers := o.Workers
 	if workers < 1 {
-		workers = 2
+		workers = DefaultWorkers
 	}
-	if workers > len(g.tasks) {
-		workers = len(g.tasks)
-	}
+	workers = min(workers, len(g.tasks))
 	node := o.Node
 	if node == nil {
 		node = c.Node()
 	}
-
 	rt := c.Runtime()
-	engine := c.Proc().Engine()
-	traceOn := rt.TraceRecorder() != nil
-	metricsOn := rt.MetricsEnabled()
 
-	nblock := make([]int, len(g.tasks))
-	for i, t := range g.tasks {
-		nblock[i] = t.nblock
+	var p placer
+	if o.Affinity {
+		p = &affinityPlacer{g: g, rt: rt, node: node, profile: o.Profile,
+			last: make([]*Task, workers), depth: rt.NewQueueDepthSlot(node.ID)}
+	} else {
+		p = newStealPlacer(c, node, workers)
 	}
 
 	// tokens carries one send per task that becomes ready; its capacity
 	// covers the whole graph so sends never block, and closing it (all done,
 	// or first error) releases every idle worker.
-	tokens := sim.NewChan(engine, len(g.tasks))
-	closed := false
+	tokens := sim.NewChan(rt.Engine(), len(g.tasks))
 	closeTokens := func() {
-		if !closed {
-			closed = true
+		if !tokens.Closed() {
 			tokens.Close()
 		}
 	}
-	signal := func() {
-		if !closed {
+	// ready hands task id to the placer on worker w's behalf (-1 while
+	// seeding) and wakes one idle worker.
+	ready := func(w, id int) {
+		p.push(w, id)
+		if !tokens.Closed() {
 			tokens.TrySend(struct{}{})
 		}
 	}
+	nblock := make([]int, len(g.tasks))
+	for id, t := range g.tasks {
+		nblock[id] = t.nblock
+		if t.nblock == 0 {
+			ready(-1, id)
+		}
+	}
+	p.settle()
 
-	var fe firstErr
+	var runErr error
 	completed := 0
-
-	depthSlot := rt.NewQueueDepthSlot(node.ID)
-	defer depthSlot.Close()
-
-	if o.Affinity {
-		g.runAffinity(c, o, st, node, nblock, tokens, &fe, &completed,
-			closeTokens, signal, depthSlot, traceOn, metricsOn)
-	} else {
-		g.runStealing(c, o, st, node, nblock, tokens, &fe, &completed,
-			closeTokens, signal, depthSlot, traceOn, metricsOn)
-	}
-	return st, fe.err
-}
-
-// execute runs one placed task on a worker context, feeding the profile and
-// emitting the placement telemetry. It returns false when the run must
-// abort.
-func (g *Graph) execute(sub *core.Ctx, o Options, node *topo.Node, id int,
-	policy string, saved int64, fe *firstErr, traceOn, metricsOn bool) bool {
-
-	t := g.tasks[id]
-	if metricsOn {
-		sub.Runtime().NoteSchedPlacement(policy, node.ID, saved)
-	}
-	if traceOn {
-		sub.TraceInstant(trace.TrackQueue, "place", int64(t.id))
-	}
-	start := sub.Proc().Now()
-	err := sub.Task(t.Kind, int64(t.Cost), t.Run)
-	if err != nil {
-		fe.record(err)
-		return false
-	}
-	if o.Profile != nil {
-		o.Profile.Record(t.Kind, t.Cost, sub.Proc().Now()-start)
-	}
-	return true
-}
-
-// runStealing is the locality-blind baseline: per-worker deques, initially
-// round-robin partitioned, owners popping their own tails and stealing from
-// siblings when dry — the same topology every app's bespoke scheduler used.
-func (g *Graph) runStealing(c *core.Ctx, o Options, st *Stats, node *topo.Node,
-	nblock []int, tokens *sim.Chan, fe *firstErr, completed *int,
-	closeTokens, signal func(), depthSlot *core.QueueDepthSlot, traceOn, metricsOn bool) {
-
-	workers := o.Workers
-	if workers < 1 {
-		workers = 2
-	}
-	if workers > len(g.tasks) {
-		workers = len(g.tasks)
-	}
-	queues := make([]*sched.Deque[int], workers)
-	for i := range queues {
-		queues[i] = sched.NewDeque[int](fmt.Sprintf("tg%d", i))
-	}
-	monitors := make([]sched.Monitor, len(queues))
-	for i, q := range queues {
-		monitors[i] = q
-	}
-	detach := node.AttachQueues(monitors...)
-	defer detach()
-
-	rtm := c.Runtime()
-	if traceOn || metricsOn {
-		noteDepth := func() {
-			if metricsOn {
-				depthSlot.Set(int64(sched.TotalLen(queues)))
-			}
-		}
-		for i, q := range queues {
-			qi := int64(i)
-			q.OnSteal = func() {
-				if traceOn {
-					c.TraceInstant(trace.TrackQueue, "steal", qi)
-				}
-				if metricsOn {
-					rtm.NoteSteals(1)
-				}
-				noteDepth()
-			}
-			if metricsOn {
-				q.OnPush = noteDepth
-				q.OnPop = func() {
-					rtm.NotePops(1)
-					noteDepth()
-				}
-			}
-		}
-	}
-
-	// Initially ready tasks spread round-robin in program order, the layout
-	// sched.Partition gives the apps' hand-wired queues.
-	k := 0
-	for id := range g.tasks {
-		if nblock[id] == 0 {
-			queues[k%workers].PushTail(id)
-			k++
-			signal()
-		}
-	}
-
-	wg := sim.NewWaitGroup(c.Runtime().Engine())
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		w := w
-		own := queues[w]
-		c.Spawn(fmt.Sprintf("tg-worker%d", w), c.Node(), func(sub *core.Ctx) error {
-			defer wg.Done()
-			for {
-				if _, ok := tokens.Recv(sub.Proc()); !ok {
-					return nil
-				}
-				if fe.failed() {
-					continue // draining after an abort
-				}
-				id, ok := own.PopTail()
-				policy := "queue"
-				if !ok {
-					if id, _, ok = sched.StealFrom(queues, w); !ok {
-						continue
-					}
-					policy = "steal"
-				}
-				if !g.execute(sub, o, node, id, policy, 0, fe, traceOn, metricsOn) {
-					closeTokens()
-					continue
-				}
-				*completed++
-				// Newly unblocked tasks land on the completing worker's own
-				// queue: successors follow their producer unless stolen.
-				for _, d := range g.tasks[id].outs {
-					nblock[d]--
-					if nblock[d] == 0 {
-						own.PushTail(d)
-						signal()
-					}
-				}
-				if *completed == len(g.tasks) {
-					closeTokens()
-				}
-			}
-		})
-	}
-	wg.Wait(c.Proc())
-	st.Pops, st.Steals = sched.TotalStats(queues)
-}
-
-// runAffinity is the residency-aware policy: a shared ready list each idle
-// worker scores in full, picking the candidate with the lowest estimated
-// compute + bytes-to-move price. Ties break toward the task overlapping the
-// worker's previous inputs (locality bias), then the lowest task ID, so the
-// schedule is a pure function of graph order and cache state.
-func (g *Graph) runAffinity(c *core.Ctx, o Options, st *Stats, node *topo.Node,
-	nblock []int, tokens *sim.Chan, fe *firstErr, completed *int,
-	closeTokens, signal func(), depthSlot *core.QueueDepthSlot, traceOn, metricsOn bool) {
-
-	workers := o.Workers
-	if workers < 1 {
-		workers = 2
-	}
-	if workers > len(g.tasks) {
-		workers = len(g.tasks)
-	}
-	rt := c.Runtime()
-
-	var ready []int
-	noteDepth := func() {
-		if metricsOn {
-			depthSlot.Set(int64(len(ready)))
-		}
-	}
-	for id := range g.tasks {
-		if nblock[id] == 0 {
-			ready = append(ready, id)
-			signal()
-		}
-	}
-	noteDepth()
-
-	// residency returns how many of t's declared input bytes need no edge
-	// crossing right now: extents already living at the staging level, plus
-	// extents of higher-level sources staged (or in flight) in node's cache.
-	// missing is the complement — what a placement would have to move.
-	residency := func(t *Task) (resident, missing int64, moveSec float64) {
-		for _, ex := range t.Reads {
-			if ex.Buf == nil || ex.Len <= 0 {
-				continue
-			}
-			if ex.Buf.Node() == node {
-				continue // already at the staging level: free either way
-			}
-			r := rt.CacheResidentBytes(node, ex.Buf, ex.Off, ex.Len)
-			resident += r
-			miss := ex.Len - r
-			missing += miss
-			moveSec += fetchSeconds(ex.Buf, node, miss)
-		}
-		return resident, missing, moveSec
-	}
-
-	score := func(t *Task) (float64, int64) {
-		var computeSec float64
-		if o.Profile != nil {
-			if pt, ok := o.Profile.Predict(t.Kind, t.Cost); ok {
-				computeSec = pt.Seconds()
-			}
-		}
-		resident, _, moveSec := residency(t)
-		return computeSec + moveSec, resident
-	}
-
 	wg := sim.NewWaitGroup(rt.Engine())
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		w := w
 		c.Spawn(fmt.Sprintf("tg-worker%d", w), c.Node(), func(sub *core.Ctx) error {
 			defer wg.Done()
-			var last *Task
 			for {
 				if _, ok := tokens.Recv(sub.Proc()); !ok {
 					return nil
 				}
-				if fe.failed() || len(ready) == 0 {
+				if runErr != nil {
+					continue // draining after an abort
+				}
+				id, policy, saved, ok := p.pick(w)
+				if !ok {
 					continue
 				}
-				// Score every ready candidate; lowest price wins.
-				best, bestSaved := -1, int64(0)
-				var bestScore float64
-				var bestAffin int64
-				for i, id := range ready {
-					t := g.tasks[id]
-					s, resident := score(t)
-					affin := int64(0)
-					if last != nil {
-						for _, ex := range t.Reads {
-							for _, lx := range last.Reads {
-								affin += overlapBytes(ex, lx)
-							}
-						}
+				t := g.tasks[id]
+				rt.NoteSchedPlacement(policy, node.ID, saved)
+				sub.TraceInstant(trace.TrackQueue, "place", int64(id))
+				start := sub.Proc().Now()
+				if err := sub.Task(t.Kind, int64(t.Cost), t.Run); err != nil {
+					if runErr == nil {
+						runErr = err
 					}
-					take := best < 0 || s < bestScore ||
-						(s == bestScore && (affin > bestAffin ||
-							(affin == bestAffin && ready[best] > id)))
-					if take {
-						best, bestScore, bestAffin, bestSaved = i, s, affin, resident
-					}
-				}
-				id := ready[best]
-				ready = append(ready[:best], ready[best+1:]...)
-				noteDepth()
-				st.AffinityPicks++
-				st.SavedBytes += bestSaved
-				last = g.tasks[id]
-				if !g.execute(sub, o, node, id, "affinity", bestSaved, fe, traceOn, metricsOn) {
 					closeTokens()
 					continue
 				}
-				*completed++
-				for _, d := range g.tasks[id].outs {
+				if o.Profile != nil {
+					o.Profile.Record(t.Kind, t.Cost, sub.Proc().Now()-start)
+				}
+				completed++
+				for _, d := range t.outs {
 					nblock[d]--
 					if nblock[d] == 0 {
-						ready = append(ready, d)
-						signal()
+						ready(w, d)
 					}
 				}
-				noteDepth()
-				if *completed == len(g.tasks) {
+				p.settle()
+				if completed == len(g.tasks) {
 					closeTokens()
 				}
 			}
 		})
 	}
 	wg.Wait(c.Proc())
+	p.finish(st)
+	return st, runErr
+}
+
+// placer is a scheduling policy: the choice of which ready task a worker
+// runs next. Graph.Run owns the worker pool, dependency release and error
+// handling; a placer only stores ready tasks and picks among them.
+type placer interface {
+	// push makes task id ready; w is the worker whose completion released
+	// it, or -1 for the graph's initially ready tasks.
+	push(w, id int)
+	// settle follows each batch of pushes (the seed, or one completion's
+	// successors).
+	settle()
+	// pick removes and returns worker w's next task, how it was chosen
+	// (the placement policy label) and how many of its input bytes were
+	// already resident; ok is false when w finds nothing to run.
+	pick(w int) (id int, policy string, saved int64, ok bool)
+	// finish folds the placer's counters into st and releases its
+	// instrumentation once the pool has drained.
+	finish(st *Stats)
+}
+
+// stealPlacer is the locality-blind baseline: per-worker deques, initially
+// round-robin partitioned, owners popping their own tails and stealing from
+// siblings when dry — the same topology every app's bespoke scheduler used.
+// Newly unblocked tasks land on the releasing worker's own deque, so
+// successors follow their producer unless stolen.
+type stealPlacer struct {
+	queues  []*sched.Deque[int]
+	seeded  int
+	release func()
+}
+
+func newStealPlacer(c *core.Ctx, node *topo.Node, workers int) *stealPlacer {
+	p := &stealPlacer{queues: make([]*sched.Deque[int], workers)}
+	for i := range p.queues {
+		p.queues[i] = sched.NewDeque[int](fmt.Sprintf("tg%d", i))
+	}
+	_, p.release = core.WatchDeques(c, node, p.queues)
+	return p
+}
+
+func (p *stealPlacer) push(w, id int) {
+	if w < 0 {
+		// Initially ready tasks spread round-robin in program order, the
+		// layout sched.Partition gives the apps' hand-wired queues.
+		w = p.seeded % len(p.queues)
+		p.seeded++
+	}
+	p.queues[w].PushTail(id)
+}
+
+func (p *stealPlacer) settle() {}
+
+func (p *stealPlacer) pick(w int) (int, string, int64, bool) {
+	if id, ok := p.queues[w].PopTail(); ok {
+		return id, "queue", 0, true
+	}
+	if id, _, ok := sched.StealFrom(p.queues, w); ok {
+		return id, "steal", 0, true
+	}
+	return 0, "", 0, false
+}
+
+func (p *stealPlacer) finish(st *Stats) {
+	st.Pops, st.Steals = sched.TotalStats(p.queues)
+	p.release()
+}
+
+// affinityPlacer is the residency-aware policy: a shared ready list each
+// idle worker scores in full, picking the candidate with the lowest
+// estimated compute + bytes-to-move price. Ties break toward the task
+// overlapping the worker's previous inputs (locality bias), then the lowest
+// task ID, so the schedule is a pure function of graph order and cache
+// state.
+type affinityPlacer struct {
+	g       *Graph
+	rt      *core.Runtime
+	node    *topo.Node
+	profile *sched.ProfileScheduler
+	ready   []int
+	last    []*Task // per worker: the task it ran last
+	depth   *core.QueueDepthSlot
+	picks   int64
+	saved   int64
+}
+
+func (p *affinityPlacer) push(_, id int) { p.ready = append(p.ready, id) }
+
+// settle publishes the ready list's length as this scheduler's queue depth;
+// pick republishes it after every removal.
+func (p *affinityPlacer) settle() { p.depth.Set(int64(len(p.ready))) }
+
+// score prices t as predicted compute seconds plus the estimated time to
+// move its missing inputs, and returns how many of its declared input bytes
+// need no edge crossing right now: extents already living at the staging
+// level, plus extents of higher-level sources staged (or in flight) in the
+// node's cache.
+func (p *affinityPlacer) score(t *Task) (price float64, resident int64) {
+	var computeSec, moveSec float64
+	if p.profile != nil {
+		if pt, ok := p.profile.Predict(t.Kind, t.Cost); ok {
+			computeSec = pt.Seconds()
+		}
+	}
+	for _, ex := range t.Reads {
+		if ex.Buf == nil || ex.Len <= 0 {
+			continue
+		}
+		if ex.Buf.Node() == p.node {
+			continue // already at the staging level: free either way
+		}
+		r := p.rt.CacheResidentBytes(p.node, ex.Buf, ex.Off, ex.Len)
+		resident += r
+		moveSec += fetchSeconds(ex.Buf, p.node, ex.Len-r)
+	}
+	return computeSec + moveSec, resident
+}
+
+func (p *affinityPlacer) pick(w int) (int, string, int64, bool) {
+	if len(p.ready) == 0 {
+		return 0, "", 0, false
+	}
+	// Score every ready candidate; lowest price wins.
+	last := p.last[w]
+	best, bestSaved := -1, int64(0)
+	var bestScore float64
+	var bestAffin int64
+	for i, id := range p.ready {
+		t := p.g.tasks[id]
+		s, resident := p.score(t)
+		affin := int64(0)
+		if last != nil {
+			for _, ex := range t.Reads {
+				for _, lx := range last.Reads {
+					affin += overlapBytes(ex, lx)
+				}
+			}
+		}
+		take := best < 0 || s < bestScore ||
+			(s == bestScore && (affin > bestAffin ||
+				(affin == bestAffin && p.ready[best] > id)))
+		if take {
+			best, bestScore, bestAffin, bestSaved = i, s, affin, resident
+		}
+	}
+	id := p.ready[best]
+	p.ready = append(p.ready[:best], p.ready[best+1:]...)
+	p.settle()
+	p.picks++
+	p.saved += bestSaved
+	p.last[w] = p.g.tasks[id]
+	return id, "affinity", bestSaved, true
+}
+
+func (p *affinityPlacer) finish(st *Stats) {
+	st.AffinityPicks, st.SavedBytes = p.picks, p.saved
+	p.depth.Close()
 }
