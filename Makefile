@@ -18,8 +18,10 @@
 #   make bench-sim    DES-engine dispatch microbenchmarks (ns/event + allocs)
 #   make bench-layers per-layer microbenchmarks: phantom result hash
 #                     (storage), span emission into the trace ring,
-#                     1M-row SpMV row_ptr generation (workload), and one
-#                     256-task Graph.Run per placer (deques and task graph)
+#                     1M-row SpMV row_ptr generation (workload), GEMM-shaped
+#                     Graph.Add at 1k and 16k tasks, and Graph.Run per
+#                     placer at 256 and 16k independent tasks plus a
+#                     cache-on 4k affinity grid (deques and task graph)
 #   make bench-check  perf-regression gate: re-run the perf suite (race
 #                     detector on) and diff against the committed BENCH_perf.json
 #   make all          both gates plus the benchmark artifacts
@@ -170,7 +172,7 @@ bench-sim:
 	$(GO) test -bench=. -benchmem -run=^$$ ./internal/sim/
 
 bench-layers:
-	$(GO) test -bench='^(BenchmarkFileFNV64aPhantom|BenchmarkRecorderSpan|BenchmarkSparseRowPtr|BenchmarkGraphRun)$$' \
+	$(GO) test -bench='^(BenchmarkFileFNV64aPhantom|BenchmarkRecorderSpan|BenchmarkSparseRowPtr|BenchmarkGraphAdd|BenchmarkGraphRun)$$' \
 		-benchmem -run=^$$ ./internal/storage/ ./internal/trace/ ./internal/workload/ \
 		./internal/taskgraph/
 

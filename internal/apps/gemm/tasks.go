@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/taskgraph"
+	"repro/internal/topo"
 	"repro/internal/view"
 	"repro/internal/workload"
 )
@@ -65,50 +66,27 @@ func RunTasks(rt *core.Runtime, cfg Config, opts taskgraph.Options) (*Result, *t
 		return nil, nil, err
 	}
 
-	shardBytes := int64(s) * int64(n) * 4
-	blockBytes := int64(s) * int64(s) * 4
+	env := &blockEnv{dram: dram, fa: fa, fb: fb, fc: fc, s: s, n: n, cb: cb,
+		shardBytes: int64(s) * int64(n) * 4, blockBytes: int64(s) * int64(s) * 4,
+		functional: functional, cfg: cfg}
 
 	// One task per C block. A row shards live at row-major offsets of the A
 	// file; B column shards at shard-major offsets of the presharded B file.
 	g := taskgraph.New()
 	for i := 0; i < cb; i++ {
 		for j := 0; j < cb; j++ {
-			i, j := i, j
-			cOff := (int64(i)*int64(cb) + int64(j)) * blockBytes
 			g.Add(&taskgraph.Task{
 				Name: fmt.Sprintf("gemm-block[%d,%d]", i, j),
 				Kind: "gemm-block",
 				Reads: []taskgraph.Extent{
-					{Buf: fa, Off: int64(i) * shardBytes, Len: shardBytes},
-					{Buf: fb, Off: int64(j) * shardBytes, Len: shardBytes},
+					{Buf: fa, Off: int64(i) * env.shardBytes, Len: env.shardBytes},
+					{Buf: fb, Off: int64(j) * env.shardBytes, Len: env.shardBytes},
 				},
 				Writes: []taskgraph.Extent{
-					{Buf: fc, Off: cOff, Len: blockBytes},
+					{Buf: fc, Off: env.blockOff(i, j), Len: env.blockBytes},
 				},
 				Cost: 2 * float64(s) * float64(s) * float64(n),
-				Run: func(sub *core.Ctx) error {
-					aShard, err := sub.MoveDataDownCached(dram, fa, int64(i)*shardBytes, shardBytes)
-					if err != nil {
-						return err
-					}
-					defer sub.Unpin(aShard)
-					bShard, err := sub.MoveDataDownCached(dram, fb, int64(j)*shardBytes, shardBytes)
-					if err != nil {
-						return err
-					}
-					defer sub.Unpin(bShard)
-					blk, err := sub.AllocAt(dram, blockBytes)
-					if err != nil {
-						return err
-					}
-					defer sub.Release(blk)
-					if err := sub.Descend(dram, func(dc *core.Ctx) error {
-						return multiplyShard(dc, aShard, bShard, blk, s, n, s, functional, cfg)
-					}); err != nil {
-						return err
-					}
-					return sub.MoveData(fc, blk, cOff, 0, blockBytes)
-				},
+				Run:  env.task(i, j),
 			})
 		}
 	}
@@ -131,4 +109,52 @@ func RunTasks(rt *core.Runtime, cfg Config, opts taskgraph.Options) (*Result, *t
 		res.C = assembleBlockMajor(fcPeek(rt, fc, elems), n, s)
 	}
 	return res, tstats, nil
+}
+
+// blockEnv is the state every C-block task shares, so a task body captures
+// one pointer and its block coordinates rather than a copy of each value.
+type blockEnv struct {
+	dram                   *topo.Node
+	fa, fb, fc             *core.Buffer
+	s, n, cb               int
+	shardBytes, blockBytes int64
+	functional             bool
+	cfg                    Config
+}
+
+// blockOff is the offset of C block (i, j) in the block-major C file.
+func (e *blockEnv) blockOff(i, j int) int64 {
+	return (int64(i)*int64(e.cb) + int64(j)) * e.blockBytes
+}
+
+// task returns the body of C block (i, j): stage its A row shard and B
+// column shard through the cache, multiply at the staging level, and write
+// the block back.
+func (e *blockEnv) task(i, j int) func(*core.Ctx) error {
+	bi, bj := int32(i), int32(j)
+	return func(sub *core.Ctx) error { return e.run(sub, int(bi), int(bj)) }
+}
+
+func (e *blockEnv) run(sub *core.Ctx, i, j int) error {
+	aShard, err := sub.MoveDataDownCached(e.dram, e.fa, int64(i)*e.shardBytes, e.shardBytes)
+	if err != nil {
+		return err
+	}
+	defer sub.Unpin(aShard)
+	bShard, err := sub.MoveDataDownCached(e.dram, e.fb, int64(j)*e.shardBytes, e.shardBytes)
+	if err != nil {
+		return err
+	}
+	defer sub.Unpin(bShard)
+	blk, err := sub.AllocAt(e.dram, e.blockBytes)
+	if err != nil {
+		return err
+	}
+	defer sub.Release(blk)
+	if err := sub.Descend(e.dram, func(dc *core.Ctx) error {
+		return multiplyShard(dc, aShard, bShard, blk, e.s, e.n, e.s, e.functional, e.cfg)
+	}); err != nil {
+		return err
+	}
+	return sub.MoveData(e.fc, blk, e.blockOff(i, j), 0, e.blockBytes)
 }

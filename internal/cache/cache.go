@@ -84,6 +84,7 @@ type Pool struct {
 	entries  map[Key]*Entry            // visible (non-doomed) entries
 	bySrc    map[int64]map[*Entry]bool // source ID -> entries, for invalidation
 	lru      *list.List                // front = most recently used ready entry
+	onChange func(Key)                 // visibility hook (see OnChange)
 }
 
 // New creates a pool with the given byte capacity. A zero or negative
@@ -95,6 +96,21 @@ func New(capacity int64) *Pool {
 		entries:  make(map[Key]*Entry),
 		bySrc:    make(map[int64]map[*Entry]bool),
 		lru:      list.New(),
+	}
+}
+
+// OnChange installs fn as the pool's visibility hook: it is called with k
+// right after every operation that changes whether Peek(k) finds an entry
+// — StartFetch (appears), Abort of a live fetch, eviction and invalidation
+// (disappears). Commit, Pin, Unpin and operations on doomed entries never
+// fire it, since they leave Peek's answer unchanged. fn must not mutate the
+// pool. A nil fn removes the hook.
+func (p *Pool) OnChange(fn func(Key)) { p.onChange = fn }
+
+// changed reports a visibility flip of k to the hook.
+func (p *Pool) changed(k Key) {
+	if p.onChange != nil {
+		p.onChange(k)
 	}
 }
 
@@ -145,6 +161,7 @@ func (p *Pool) StartFetch(k Key, pending any) (*Entry, error) {
 	p.entries[k] = e
 	p.addBySrc(e)
 	p.used += k.Len
+	p.changed(k)
 	return e, nil
 }
 
@@ -177,6 +194,7 @@ func (p *Pool) Abort(e *Entry) {
 	}
 	delete(p.entries, e.key)
 	p.dropBySrc(e)
+	p.changed(e.key)
 }
 
 // Pin takes a reference on a ready entry, shielding it from eviction.
@@ -245,6 +263,7 @@ func (p *Pool) remove(e *Entry) any {
 	delete(p.entries, e.key)
 	p.dropBySrc(e)
 	p.used -= e.key.Len
+	p.changed(e.key)
 	return e.value
 }
 
@@ -266,6 +285,7 @@ func (p *Pool) InvalidateRange(src, off, n int64) (victims []any, doomed int) {
 		e.doomed = true
 		delete(p.entries, e.key)
 		p.dropBySrc(e)
+		p.changed(e.key)
 		doomed++
 	}
 	return victims, doomed

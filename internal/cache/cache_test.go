@@ -1,6 +1,9 @@
 package cache
 
-import "testing"
+import (
+	"testing"
+	"testing/quick"
+)
 
 // fill commits a ready entry for k holding val.
 func fill(t *testing.T, p *Pool, k Key, val any) *Entry {
@@ -207,5 +210,131 @@ func TestZeroCapacityPool(t *testing.T) {
 	p := New(0)
 	if _, err := p.StartFetch(Key{Src: 1, Off: 0, Len: 1}, "x"); err == nil {
 		t.Fatal("zero-capacity pool accepted a fetch")
+	}
+}
+
+// TestOnChangeFiresExactlyOnVisibilityFlips drives a small pool through
+// random StartFetch/Commit/Abort/Pin/Unpin/EvictFor/EvictOne/InvalidateRange
+// sequences — doomed in-flight and doomed pinned entries included — and
+// requires the hook to fire once for each key whose Peek flipped between
+// nil and non-nil in that operation, and for no other key.
+func TestOnChangeFiresExactlyOnVisibilityFlips(t *testing.T) {
+	var keys []Key
+	for src := int64(1); src <= 2; src++ {
+		for off := int64(0); off < 40; off += 10 {
+			keys = append(keys, Key{Src: src, Off: off, Len: 10}, Key{Src: src, Off: off, Len: 20})
+		}
+	}
+	f := func(ops []uint16) bool {
+		p := New(60)
+		var fired []Key
+		p.OnChange(func(k Key) { fired = append(fired, k) })
+		var live []*Entry // entries started and not yet gone for good
+		visible := func() map[Key]bool {
+			m := map[Key]bool{}
+			for _, k := range keys {
+				if p.Peek(k) != nil {
+					m[k] = true
+				}
+			}
+			return m
+		}
+		pickLive := func(x uint16, want func(*Entry) bool) *Entry {
+			var c []*Entry
+			for _, e := range live {
+				if want(e) {
+					c = append(c, e)
+				}
+			}
+			if len(c) == 0 {
+				return nil
+			}
+			return c[int(x)%len(c)]
+		}
+		drop := func(e *Entry) {
+			for i, x := range live {
+				if x == e {
+					live = append(live[:i], live[i+1:]...)
+					return
+				}
+			}
+		}
+		for _, op := range ops {
+			before := visible()
+			fired = fired[:0]
+			arg := op >> 3
+			switch op % 8 {
+			case 0, 1:
+				if e, err := p.StartFetch(keys[int(arg)%len(keys)], "pending"); err == nil {
+					live = append(live, e)
+				}
+			case 2:
+				if e := pickLive(arg, func(e *Entry) bool { return !e.Ready() }); e != nil {
+					if !p.Commit(e, "v") {
+						drop(e)
+					}
+				}
+			case 3:
+				if e := pickLive(arg, func(e *Entry) bool { return !e.Ready() }); e != nil {
+					p.Abort(e)
+					drop(e)
+				}
+			case 4:
+				if e := pickLive(arg, func(e *Entry) bool { return e.Ready() && !e.Doomed() }); e != nil {
+					p.Pin(e)
+				}
+			case 5:
+				if e := pickLive(arg, func(e *Entry) bool { return e.Pinned() }); e != nil {
+					if p.Unpin(e) != nil {
+						drop(e)
+					}
+				}
+			case 6:
+				if arg%2 == 0 {
+					p.EvictOne()
+				} else {
+					p.EvictFor(int64(arg % 40))
+				}
+			case 7:
+				src := int64(arg%2) + 1
+				p.InvalidateRange(src, int64(arg/2%40), int64(arg/80%25))
+			}
+			// Drop entries that eviction or invalidation freed outright.
+			for i := 0; i < len(live); {
+				e := live[i]
+				gone := e.Ready() && !e.Pinned() && (e.Doomed() || p.Peek(e.Key()) != e)
+				if gone {
+					live = append(live[:i], live[i+1:]...)
+					continue
+				}
+				i++
+			}
+			p.CheckInvariants()
+			after := visible()
+			want := map[Key]int{}
+			for _, k := range keys {
+				if before[k] != after[k] {
+					want[k] = 1
+				}
+			}
+			got := map[Key]int{}
+			for _, k := range fired {
+				got[k]++
+			}
+			if len(got) != len(want) {
+				t.Logf("op %d: fired %v, flipped %v", op%8, got, want)
+				return false
+			}
+			for k, n := range got {
+				if want[k] != n {
+					t.Logf("op %d: fired %v, flipped %v", op%8, got, want)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -147,6 +147,9 @@ func (rt *Runtime) Release(p *sim.Proc, b *Buffer) error {
 		return fmt.Errorf("core: double release of buffer on %v", b.node)
 	}
 	b.released = true
+	for _, w := range rt.watch {
+		w.w.BufferReleased(b.id)
+	}
 	rt.chargeOverhead(p)
 	if b.file != nil {
 		if err := b.node.Store.Remove(b.file.Name()); err != nil {

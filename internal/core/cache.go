@@ -112,6 +112,13 @@ func (rt *Runtime) cacheAt(n *topo.Node) *nodeCache {
 		return nc
 	}
 	nc := &nodeCache{node: n, pool: cache.New(rt.opts.Cache.capacityAt(n))}
+	nc.pool.OnChange(func(k cache.Key) {
+		for _, w := range rt.watch {
+			if w.node == n.ID {
+				w.w.ExtentChanged(k.Src, k.Off, k.Len)
+			}
+		}
+	})
 	rt.caches[n.ID] = nc
 	return nc
 }
@@ -154,6 +161,9 @@ func (nc *nodeCache) get(rt *Runtime, p *sim.Proc, child *topo.Node, src *Buffer
 				e.Pending().(*sim.Latch).Wait(p)
 				continue
 			}
+			// Pin before charging the lookup: an eviction or invalidation
+			// running while this proc sleeps must not free the entry.
+			nc.pool.Pin(e)
 			rt.chargeOverhead(p)
 			cs.Hits++
 			cs.HitBytes += n
@@ -162,7 +172,6 @@ func (nc *nodeCache) get(rt *Runtime, p *sim.Proc, child *topo.Node, src *Buffer
 				e.ClearPrefetched()
 				cs.PrefetchHits++
 			}
-			nc.pool.Pin(e)
 			return e.Value().(*Buffer), nil
 		}
 		cs.Misses++
@@ -387,6 +396,39 @@ func (rt *Runtime) CacheResidentBytes(node *topo.Node, src *Buffer, srcOff, n in
 		return n
 	}
 	return 0
+}
+
+// ResidencyWatcher observes the answers CacheResidentBytes gives at one
+// node, so a caller can cache prices built on them and recompute only what
+// an event touched.
+type ResidencyWatcher interface {
+	// ExtentChanged reports that the node's cache gained or lost its entry
+	// for [off, off+n) of source buffer src: CacheResidentBytes for exactly
+	// that extent flipped between 0 and n.
+	ExtentChanged(src, off, n int64)
+	// BufferReleased reports that source buffer src was released, so every
+	// one of its extents now probes as non-resident.
+	BufferReleased(src int64)
+}
+
+type residencyWatch struct {
+	node int
+	w    ResidencyWatcher
+}
+
+// WatchResidency registers w for node until the returned stop is called.
+// Between two notifications, CacheResidentBytes(node, ...) returns the same
+// answer for every extent w has not been told about.
+func (rt *Runtime) WatchResidency(node *topo.Node, w ResidencyWatcher) (stop func()) {
+	rt.watch = append(rt.watch, residencyWatch{node: node.ID, w: w})
+	return func() {
+		for i, x := range rt.watch {
+			if x.w == w && x.node == node.ID {
+				rt.watch = append(rt.watch[:i], rt.watch[i+1:]...)
+				return
+			}
+		}
+	}
 }
 
 // invalidateRange drops every cache entry whose source extent overlaps the

@@ -578,3 +578,121 @@ func TestPipelineNeverDropsErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestCacheHitSurvivesConcurrentEviction: a hit pins its entry before
+// charging the lookup, so a fetch evicting at the same instant must pick
+// another victim (or bypass) rather than free the buffer the hit returns.
+func TestCacheHitSurvivesConcurrentEviction(t *testing.T) {
+	_, rt := newCachedAPU(t, CacheOptions{Enabled: true, CapacityBytes: 4096})
+	x := mkInput(t, rt, "x", 4096)
+	y := mkInput(t, rt, "y", 4096)
+	dram := rt.Tree().Root().Children[0]
+	_, err := rt.Run("race", func(c *Ctx) error {
+		b, err := c.MoveDataDownCached(dram, x, 0, 4096)
+		if err != nil {
+			return err
+		}
+		if err := c.Unpin(b); err != nil {
+			return err
+		}
+		// The miss on y, whose fill must evict x, lands while the hit on x
+		// (cached, unpinned) is still charging its lookup: spawning charges
+		// one overhead step, so the y reader, spawned first, waits out one
+		// and a half.
+		step := rt.opts.OverheadPerOp
+		errs := make([]error, 2)
+		wg := sim.NewWaitGroup(rt.Engine())
+		for i, r := range []struct {
+			src   *Buffer
+			delay sim.Time
+		}{{y, step + step/2}, {x, 0}} {
+			i, r := i, r
+			wg.Add(1)
+			c.Spawn(fmt.Sprintf("reader%d", i), c.Node(), func(sc *Ctx) error {
+				defer wg.Done()
+				sc.Proc().Sleep(r.delay)
+				b, err := sc.MoveDataDownCached(dram, r.src, 0, 4096)
+				if err == nil {
+					if b.Bytes() == nil {
+						err = fmt.Errorf("reader%d: got a freed buffer", i)
+					} else {
+						err = sc.Unpin(b)
+					}
+				}
+				errs[i] = err
+				return nil
+			})
+		}
+		wg.Wait(c.Proc())
+		return errors.Join(errs...)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// residencyLog records ResidencyWatcher notifications.
+type residencyLog []string
+
+func (l *residencyLog) ExtentChanged(src, off, n int64) {
+	*l = append(*l, fmt.Sprintf("extent %d[%d:%d]", src, off, off+n))
+}
+
+func (l *residencyLog) BufferReleased(src int64) {
+	*l = append(*l, fmt.Sprintf("released %d", src))
+}
+
+// TestWatchResidencyReportsEveryChange: a watcher hears about each cache
+// entry appearing or vanishing at its node and about every release, and
+// after a cached source is released CacheResidentBytes reports zero for it
+// even though its entry is still pooled.
+func TestWatchResidencyReportsEveryChange(t *testing.T) {
+	_, rt := newCachedAPU(t, CacheOptions{Enabled: true, CapacityBytes: 4096})
+	x := mkInput(t, rt, "x", 4096)
+	y := mkInput(t, rt, "y", 4096)
+	dram := rt.Tree().Root().Children[0]
+	var log residencyLog
+	stop := rt.WatchResidency(dram, &log)
+	_, err := rt.Run("watch", func(c *Ctx) error {
+		for _, src := range []*Buffer{x, y} { // y's fill evicts x
+			b, err := c.MoveDataDownCached(dram, src, 0, 4096)
+			if err != nil {
+				return err
+			}
+			if err := c.Unpin(b); err != nil {
+				return err
+			}
+		}
+		if got := rt.CacheResidentBytes(dram, y, 0, 4096); got != 4096 {
+			return fmt.Errorf("y resident %d before release, want 4096", got)
+		}
+		if err := c.Release(y); err != nil {
+			return err
+		}
+		if got := rt.CacheResidentBytes(dram, y, 0, 4096); got != 0 {
+			return fmt.Errorf("y resident %d after release, want 0", got)
+		}
+		stop()
+		return c.Release(x) // after stop: not reported
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Releases of other buffers (x's evicted copy) are reported too, for
+	// the watcher to ignore; only the sources' events are compared.
+	want := []string{
+		fmt.Sprintf("extent %d[0:4096]", x.ID()), // x fetched
+		fmt.Sprintf("extent %d[0:4096]", y.ID()), // y fetch starts
+		fmt.Sprintf("extent %d[0:4096]", x.ID()), // x evicted for it
+		fmt.Sprintf("released %d", y.ID()),
+	}
+	var got []string
+	for _, ev := range log {
+		if strings.HasPrefix(ev, "extent") || ev == fmt.Sprintf("released %d", x.ID()) || ev == want[3] {
+			got = append(got, ev)
+		}
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("notifications:\n%s\nwant:\n%s", strings.Join(log, "\n"), strings.Join(want, "\n"))
+	}
+}

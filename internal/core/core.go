@@ -104,6 +104,7 @@ type Runtime struct {
 
 	allocs map[int]*alloc.Allocator // node ID -> allocator (mem-kind nodes)
 	caches map[int]*nodeCache       // node ID -> staging cache (lazy, see cache.go)
+	watch  []residencyWatch         // CacheResidentBytes observers (see cache.go)
 	pcie   *device.Link
 	dma    *device.Link
 

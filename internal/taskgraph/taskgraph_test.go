@@ -3,7 +3,9 @@ package taskgraph
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -13,10 +15,15 @@ import (
 	"repro/internal/topo"
 )
 
-// newStagedRuntime builds a 2-level SSD+DRAM tree with the staging cache on.
+// newStagedRuntime builds a 2-level SSD+DRAM tree (8 MiB of DRAM) with a
+// staging cache of cacheMiB (0: off).
 func newStagedRuntime(cacheMiB int64) (*core.Runtime, *topo.Node) {
+	return newSizedRuntime(8, cacheMiB)
+}
+
+func newSizedRuntime(dramMiB, cacheMiB int64) (*core.Runtime, *topo.Node) {
 	e := sim.NewEngine()
-	tree := topo.APU(e, topo.APUConfig{Storage: topo.SSD, StorageMiB: 64, DRAMMiB: 8, WithCPU: true})
+	tree := topo.APU(e, topo.APUConfig{Storage: topo.SSD, StorageMiB: 256, DRAMMiB: dramMiB, WithCPU: true})
 	opts := core.DefaultOptions()
 	opts.Phantom = true
 	if cacheMiB > 0 {
@@ -271,5 +278,431 @@ func TestOverlapBytes(t *testing.T) {
 		if got := overlapBytes(tc.a, tc.o); got != tc.want {
 			t.Fatalf("case %d: got %d want %d", i, got, tc.want)
 		}
+	}
+}
+
+// --- Reference models -----------------------------------------------------
+
+// conflicts is the pairwise test the dependence index replaces: t must wait
+// for prev on any RAW, WAW or WAR overlap between their declared extents.
+func conflicts(prev, t *Task) bool {
+	for _, w := range prev.Writes {
+		for _, r := range t.Reads {
+			if w.overlaps(r) {
+				return true
+			}
+		}
+		for _, w2 := range t.Writes {
+			if w.overlaps(w2) {
+				return true
+			}
+		}
+	}
+	for _, r := range prev.Reads {
+		for _, w := range t.Writes {
+			if r.overlaps(w) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// scanDeps returns every task's successors and predecessor count under the
+// pairwise scan over all earlier tasks.
+func scanDeps(tasks []*Task) (outs [][]int, nblock []int) {
+	outs = make([][]int, len(tasks))
+	nblock = make([]int, len(tasks))
+	for i, t := range tasks {
+		for j := 0; j < i; j++ {
+			if conflicts(tasks[j], t) {
+				outs[j] = append(outs[j], i)
+				nblock[i]++
+			}
+		}
+	}
+	return outs, nblock
+}
+
+// allocBuffers allocates n buffers of size bytes at the root of a fresh
+// runtime.
+func allocBuffers(tb testing.TB, n int, size int64) []*core.Buffer {
+	tb.Helper()
+	rt, _ := newStagedRuntime(0)
+	bufs := make([]*core.Buffer, n)
+	if _, err := rt.Run("setup", func(c *core.Ctx) error {
+		for i := range bufs {
+			var err error
+			if bufs[i], err = c.Alloc(size); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		tb.Fatal(err)
+	}
+	return bufs
+}
+
+// TestIndexMatchesPairwiseScan: over random extent sets on 1-3 buffers —
+// overlapping, adjacent, duplicate, zero-length and nil-Buf extents — the
+// index gives every task exactly the successors (in ascending order) and
+// predecessor count of the pairwise scan.
+func TestIndexMatchesPairwiseScan(t *testing.T) {
+	const size = 64
+	pool := allocBuffers(t, 3, size)
+	f := func(seed int64, nbuf, ntask uint8) bool {
+		rng := rand.New(rand.NewSource(seed))
+		bufs := pool[:int(nbuf)%3+1]
+		var prev []Extent
+		extent := func() Extent {
+			var e Extent
+			switch k := rng.Intn(10); {
+			case k == 0:
+				return Extent{Off: int64(rng.Intn(size))} // nil Buf, zero length
+			case k <= 2 && len(prev) > 0: // duplicate
+				return prev[rng.Intn(len(prev))]
+			case k == 3 && len(prev) > 0: // adjacent to an earlier extent
+				p := prev[rng.Intn(len(prev))]
+				if p.Buf == nil || p.Off+p.Len >= size {
+					return p
+				}
+				e = Extent{Buf: p.Buf, Off: p.Off + p.Len}
+				e.Len = int64(rng.Intn(int(size-e.Off) + 1))
+			default:
+				e = Extent{Buf: bufs[rng.Intn(len(bufs))], Off: int64(rng.Intn(size))}
+				if rng.Intn(5) > 0 { // else zero-length
+					e.Len = 1 + int64(rng.Intn(int(min(size-e.Off, 24))))
+				}
+			}
+			prev = append(prev, e)
+			return e
+		}
+		g := New()
+		for i := 0; i < int(ntask)%40+1; i++ {
+			t := &Task{Name: fmt.Sprint(i)}
+			for n := rng.Intn(4); n > 0; n-- {
+				t.Reads = append(t.Reads, extent())
+			}
+			for n := rng.Intn(3); n > 0; n-- {
+				t.Writes = append(t.Writes, extent())
+			}
+			g.Add(t)
+		}
+		if g.err != nil {
+			t.Logf("generator made a malformed extent: %v", g.err)
+			return false
+		}
+		outs, nblock := scanDeps(g.Tasks())
+		for i, tk := range g.Tasks() {
+			if tk.nblock != nblock[i] || !slices.Equal(tk.outs, outs[i]) {
+				t.Logf("seed %d task %d: index outs=%v nblock=%d, scan outs=%v nblock=%d",
+					seed, i, tk.outs, tk.nblock, outs[i], nblock[i])
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// shadowPlacer runs the affinity placer while replaying every pick against
+// the full rescore it replaces: price every ready task from scratch, probing
+// the cache for each read extent, and break ties by overlap with the
+// worker's last reads, then by lowest ID.
+type shadowPlacer struct {
+	*affinityPlacer
+	ready []int
+	last  []*Task
+	picks int
+	diffs []string
+}
+
+func (s *shadowPlacer) push(w, id int) {
+	s.affinityPlacer.push(w, id)
+	s.ready = append(s.ready, id)
+}
+
+// rescore is the reference pick: the placer's pre-index implementation.
+func (s *shadowPlacer) rescore(w int) (id int, saved int64) {
+	p := s.affinityPlacer
+	score := func(t *Task) (price float64, resident int64) {
+		var computeSec, moveSec float64
+		if p.profile != nil {
+			if pt, ok := p.profile.Predict(t.Kind, t.Cost); ok {
+				computeSec = pt.Seconds()
+			}
+		}
+		for _, ex := range t.Reads {
+			if ex.Buf == nil || ex.Len <= 0 || ex.Buf.Node() == p.node {
+				continue
+			}
+			r := p.rt.CacheResidentBytes(p.node, ex.Buf, ex.Off, ex.Len)
+			resident += r
+			moveSec += fetchSeconds(ex.Buf, p.node, ex.Len-r)
+		}
+		return computeSec + moveSec, resident
+	}
+	last := s.last[w]
+	best, bestSaved := -1, int64(0)
+	var bestScore float64
+	var bestAffin int64
+	for i, id := range s.ready {
+		t := p.g.tasks[id]
+		sc, resident := score(t)
+		affin := int64(0)
+		if last != nil {
+			affin = sharedBytes(t, last)
+		}
+		if best < 0 || sc < bestScore || (sc == bestScore && (affin > bestAffin ||
+			(affin == bestAffin && s.ready[best] > id))) {
+			best, bestScore, bestAffin, bestSaved = i, sc, affin, resident
+		}
+	}
+	return s.ready[best], bestSaved
+}
+
+func (s *shadowPlacer) pick(w int) (int, string, int64, bool) {
+	if len(s.ready) == 0 {
+		return s.affinityPlacer.pick(w)
+	}
+	// Beyond the pick itself, every cached move price must equal a fresh
+	// one, so a missed residency change shows even when it would not yet
+	// have changed the winner.
+	s.flush()
+	for _, id := range s.ready {
+		if move, _ := s.price(s.g.tasks[id]); s.at[id] == nil || s.at[id].move != move {
+			s.diffs = append(s.diffs, fmt.Sprintf("before pick %d: task %d is stale", s.picks+1, id))
+		}
+	}
+	wantID, wantSaved := s.rescore(w)
+	id, policy, saved, ok := s.affinityPlacer.pick(w)
+	s.picks++
+	if !ok || id != wantID || saved != wantSaved {
+		s.diffs = append(s.diffs, fmt.Sprintf("pick %d (worker %d): got task %d saved %d, rescore wants task %d saved %d",
+			s.picks, w, id, saved, wantID, wantSaved))
+	}
+	if i := slices.Index(s.ready, id); i >= 0 {
+		s.ready = slices.Delete(s.ready, i, i+1)
+	}
+	s.last[w] = s.affinityPlacer.g.tasks[id]
+	return id, policy, saved, ok
+}
+
+// shadowRun builds a random graph over two 4 MiB storage sources and a
+// releasable third, runs it on a 3 MiB staging cache (so fetches evict,
+// writes invalidate and a task may release a source whose extents other
+// ready tasks read), and returns the shadow placer and the run's stats.
+// DRAM is sized for the worst case of every worker pinning three bypassed
+// extents plus a write buffer.
+func shadowRun(t *testing.T, seed int64, profiled bool) (*shadowPlacer, core.RunStats) {
+	t.Helper()
+	const chunk = 512 << 10
+	rng := rand.New(rand.NewSource(seed))
+	rt, dram := newSizedRuntime(32, 3)
+	var srcs []*core.Buffer
+	if _, err := rt.Run("setup", func(c *core.Ctx) error {
+		for _, size := range []int64{8 * chunk, 8 * chunk, 4 * chunk} {
+			b, err := c.Alloc(size)
+			if err != nil {
+				return err
+			}
+			srcs = append(srcs, b)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	rel := srcs[2]
+	released := false
+	extent := func(b *core.Buffer) Extent {
+		chunks := b.Size() / chunk
+		off := rng.Int63n(chunks)
+		n := 1 + rng.Int63n(min(2, chunks-off))
+		return Extent{Buf: b, Off: off * chunk, Len: n * chunk}
+	}
+	g := New()
+	for i := 0; i < 12+rng.Intn(30); i++ {
+		tk := &Task{Name: fmt.Sprintf("t%d", i), Kind: []string{"a", "b"}[rng.Intn(2)],
+			Cost: float64(1+rng.Intn(3)) * chunk}
+		if rng.Intn(12) == 0 {
+			tk.Run = func(c *core.Ctx) error {
+				if released {
+					return nil
+				}
+				released = true
+				return c.Release(rel)
+			}
+			g.Add(tk)
+			continue
+		}
+		for n := 1 + rng.Intn(3); n > 0; n-- {
+			tk.Reads = append(tk.Reads, extent(srcs[rng.Intn(3)]))
+		}
+		if rng.Intn(3) == 0 {
+			tk.Writes = append(tk.Writes, extent(srcs[rng.Intn(2)]))
+		}
+		// A stray write, undeclared like a writer outside the graph, can hit
+		// extents that running tasks hold pinned or in flight: the cache
+		// dooms those entries instead of evicting them.
+		var stray []Extent
+		if rng.Intn(4) == 0 {
+			stray = append(stray, extent(srcs[rng.Intn(2)]))
+		}
+		write := func(c *core.Ctx, exts []Extent) error {
+			for _, ex := range exts {
+				tmp, err := c.AllocAt(dram, ex.Len)
+				if err != nil {
+					return err
+				}
+				if err := c.MoveData(ex.Buf, tmp, ex.Off, 0, ex.Len); err != nil {
+					return err
+				}
+				if err := c.Release(tmp); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+		tk.Run = func(c *core.Ctx) error {
+			var pinned []*core.Buffer
+			for _, ex := range tk.Reads {
+				if ex.Buf == rel && released {
+					continue
+				}
+				b, err := c.MoveDataDownCached(dram, ex.Buf, ex.Off, ex.Len)
+				if err != nil {
+					return err
+				}
+				pinned = append(pinned, b)
+			}
+			if err := c.Descend(dram, func(dc *core.Ctx) error {
+				_, err := dc.RunCPU(tk.Cost, tk.Cost, func() {})
+				return err
+			}); err != nil {
+				return err
+			}
+			if err := write(c, stray); err != nil {
+				return err
+			}
+			for _, b := range pinned {
+				if err := c.Unpin(b); err != nil {
+					return err
+				}
+			}
+			return write(c, tk.Writes)
+		}
+		g.Add(tk)
+	}
+	var prof *sched.ProfileScheduler
+	if profiled {
+		prof = sched.NewProfileScheduler()
+	}
+	workers := 2 + rng.Intn(2)
+	var s *shadowPlacer
+	stats, err := rt.Run("run", func(c *core.Ctx) error {
+		s = &shadowPlacer{affinityPlacer: newAffinityPlacer(g, c.Runtime(), dram, prof, workers),
+			last: make([]*Task, workers)}
+		err := g.dispatch(c, s, dram, workers, prof)
+		s.finish(&Stats{})
+		return err
+	})
+	if err != nil {
+		t.Fatalf("seed %d: %v", seed, err)
+	}
+	return s, stats
+}
+
+// TestAffinityPickMatchesFullRescore is the shadow-placer property: on
+// random graphs under cache churn, with the profile on and off, every pick
+// of the incremental placer and its saved bytes equal the full rescore's.
+func TestAffinityPickMatchesFullRescore(t *testing.T) {
+	var evictions, invalidations, picks int64
+	f := func(seed int64, profiled bool) bool {
+		s, stats := shadowRun(t, seed, profiled)
+		evictions += stats.Breakdown.Cache().Evictions
+		invalidations += stats.Breakdown.Cache().Invalidations
+		picks += int64(s.picks)
+		for _, d := range s.diffs {
+			t.Logf("seed %d profiled=%v: %s", seed, profiled, d)
+		}
+		return len(s.diffs) == 0
+	}
+	// A fixed source keeps the simulated workloads, and so the suite, repeatable.
+	if err := quick.Check(f, &quick.Config{MaxCount: 150, Rand: rand.New(rand.NewSource(1))}); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d picks, %d evictions, %d invalidations", picks, evictions, invalidations)
+	// The property only means something if the cache actually churned.
+	if evictions == 0 || invalidations == 0 || picks == 0 {
+		t.Fatalf("no churn: %d evictions, %d invalidations, %d picks", evictions, invalidations, picks)
+	}
+}
+
+// TestReleasedSourceReprices: ready readers are re-priced both when their
+// extent becomes cached and when its source is released (a released
+// source probes as non-resident although its entry stays pooled). A stale
+// price in either direction reorders this one-worker schedule.
+func TestReleasedSourceReprices(t *testing.T) {
+	const mib = 1 << 20
+	rt, dram := newStagedRuntime(4)
+	var r, s, d *core.Buffer
+	if _, err := rt.Run("setup", func(c *core.Ctx) error {
+		var err error
+		if r, err = c.Alloc(2 * mib); err != nil {
+			return err
+		}
+		if s, err = c.Alloc(mib); err != nil {
+			return err
+		}
+		d, err = c.AllocAt(dram, 64)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var order []string
+	task := func(name string, reads, writes []Extent, body func(*core.Ctx) error) *Task {
+		return &Task{Name: name, Cost: 1, Reads: reads, Writes: writes,
+			Run: func(c *core.Ctx) error {
+				order = append(order, name)
+				if body == nil {
+					return nil
+				}
+				return body(c)
+			}}
+	}
+	g := New()
+	// warm (free: it declares no reads) caches both halves of r without
+	// declaring them, so it leaves no locality preference behind.
+	g.Add(task("warm", nil, []Extent{{d, 0, 64}}, func(c *core.Ctx) error {
+		for off := int64(0); off < 2*mib; off += mib {
+			b, err := c.MoveDataDownCached(dram, r, off, mib)
+			if err != nil {
+				return err
+			}
+			if err := c.Unpin(b); err != nil {
+				return err
+			}
+		}
+		return nil
+	}))
+	g.Add(task("read-s", []Extent{{s, 0, mib}}, nil, nil))
+	// read-r1 becomes free once r is cached and wins on ID over release
+	// (free: its one read is already at the staging node).
+	g.Add(task("read-r1", []Extent{{r, 0, mib}}, nil, nil))
+	g.Add(task("release", []Extent{{d, 0, 64}}, nil, func(c *core.Ctx) error { return c.Release(r) }))
+	// read-r2 costs as much as read-s again once r is released, and loses
+	// the tie on ID.
+	g.Add(task("read-r2", []Extent{{r, mib, mib}}, nil, nil))
+	if _, err := rt.Run("run", func(c *core.Ctx) error {
+		_, err := g.Run(c, Options{Workers: 1, Affinity: true, Node: dram})
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"warm", "read-r1", "release", "read-s", "read-r2"}; !reflect.DeepEqual(order, want) {
+		t.Fatalf("order %v, want %v", order, want)
 	}
 }

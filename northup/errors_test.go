@@ -116,3 +116,53 @@ func TestMoveBeyondBufferBoundsReturnsError(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestTaskGraphRejectsMalformedExtents: extents the dependence analysis
+// cannot order (negative, overflowing, past the buffer, bytes without a
+// buffer) make Run fail with an error naming the task, before any task
+// body runs.
+func TestTaskGraphRejectsMalformedExtents(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		ext  func(b *northup.Buffer) northup.TaskExtent
+		want string
+	}{
+		{"negative-off", func(b *northup.Buffer) northup.TaskExtent { return northup.TaskExtent{Buf: b, Off: -1, Len: 8} }, "negative"},
+		{"negative-len", func(b *northup.Buffer) northup.TaskExtent { return northup.TaskExtent{Buf: b, Off: 0, Len: -8} }, "negative"},
+		{"overflow", func(b *northup.Buffer) northup.TaskExtent {
+			return northup.TaskExtent{Buf: b, Off: 1 << 62, Len: 1 << 62}
+		}, "past the end"},
+		{"past-end", func(b *northup.Buffer) northup.TaskExtent { return northup.TaskExtent{Buf: b, Off: 4000, Len: 200} }, "past the end"},
+		{"nil-buf", func(*northup.Buffer) northup.TaskExtent { return northup.TaskExtent{Off: 0, Len: 8} }, "without a buffer"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rt := newTinyRuntime()
+			ran := false
+			_, err := rt.Run("graph", func(c *northup.Ctx) error {
+				b, err := c.Alloc(4 * northup.KiB)
+				if err != nil {
+					return err
+				}
+				g := northup.NewTaskGraph()
+				body := func(*northup.Ctx) error { ran = true; return nil }
+				g.Add(&northup.Task{Name: "fine", Cost: 1, Run: body,
+					Reads: []northup.TaskExtent{{Buf: b, Off: 0, Len: 4096}, {Off: 0, Len: 0}}})
+				g.Add(&northup.Task{Name: "bad", Cost: 1, Run: body,
+					Writes: []northup.TaskExtent{{Buf: b, Off: 0, Len: 8}, tc.ext(b)}})
+				_, err = g.Run(c, northup.TaskOptions{Affinity: true})
+				return err
+			})
+			if err == nil {
+				t.Fatal("malformed extent accepted")
+			}
+			for _, frag := range []string{`task 1 ("bad")`, "write extent 1", tc.want} {
+				if !strings.Contains(err.Error(), frag) {
+					t.Errorf("error %q does not mention %q", err, frag)
+				}
+			}
+			if ran {
+				t.Error("a task body ran before the malformed extent was reported")
+			}
+		})
+	}
+}
