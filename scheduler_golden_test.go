@@ -26,7 +26,8 @@ import (
 // statistics, the Prometheus text, the sampled metrics JSON and the Chrome
 // trace export. Schedules and telemetry are deterministic contracts, so a
 // change to the task-graph dispatch loop, its placers or the shared deque
-// hooks must reproduce every byte; update a hash only with a change that
+// hooks, or to an app's shared definition under its drivers, must
+// reproduce every byte; update a hash only with a change that
 // alters scheduling on purpose and says so.
 var schedulerGolden = map[string]map[string]string{
 	"gemm/steal": {
@@ -70,13 +71,132 @@ var schedulerGolden = map[string]map[string]string{
 		"series": "ba023b77d75b2b6939d900f61c9ec6d90d473c041465a55a4cbba52a3b3b25e5",
 		"trace":  "e253bec3cda07f1c784c98c3d54fd66e523eeea2687db0d9c22b6c49328c3b9c",
 	},
+	"gemm/northup-apu": {
+		"order":  "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+		"stats":  "063f470899687c624841227005efa28a17032af36bf316fa8cea65c1b94a625f",
+		"prom":   "598b21509596ad1bfc712638a9a1fe34005083e6b116646be895234b0633bf4c",
+		"series": "6ffc12385d4448ec32b686afde983b82a858e863e74220eda7ecfd8ccb09bc61",
+		"trace":  "f95ddab57e5b67263e0a77b7270468113a3c81dba035f93b16cc652fb912ee02",
+	},
+	"gemm/northup-discrete": {
+		"order":  "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+		"stats":  "4552318c60b15359d727680ea9e9be6720cb19ed0ff17f5345cded1512db2e4e",
+		"prom":   "520f7cbe16441cba24b51ab3ebc1d5849772abf637a528601314f57b69192af7",
+		"series": "7e549ffc9e4cc23e60dc17b744be6d9da21e7f722866e617d816840ee2b512ec",
+		"trace":  "089b3edee73a227f688376d67bbdef4b8f58ace973cc67d579f969173f12c118",
+	},
+	"gemm/streamed": {
+		"order":  "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+		"stats":  "53a6a5721e1d9407b2a5eaa09e5e9da7ffc8beb8f3c0854f07c466688af42ff9",
+		"prom":   "55efea1e634b89b83444981826a3e4c5a38c283ae93e0e3a9f5044ad1eb428c8",
+		"series": "eb1b0169ac86d40a68241417bf2c899d9894d6a8caa4fee135f6b6fe96f4d1d4",
+		"trace":  "ef432cc019d1924f3177aef9c16498a98cf8246b006448293813e0d5cfed8d3e",
+	},
+	"gemm/stageb-nvm": {
+		"order":  "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+		"stats":  "c3b19092f571f6113cf051e1c561b4a5b06513229409bb242452f1797ecb8df7",
+		"prom":   "e3701aeaa67d800f20b01f80de46810c994dce8c71157afd7bf6133f939b0e1b",
+		"series": "68d06d05977ed1202ff667a3109e72a6b6483cb90af47635f0fc01a3641da6f9",
+		"trace":  "b938cdbd3787ef33457c62e42a99906b7c54be30b6bafff3c9e9ca46e3cbebe9",
+	},
+	"spmv/northup-apu": {
+		"order":  "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+		"stats":  "4e39a5de0be78f09cebd6614f350806a188c7f3a36b2fe4d8e86f0cb341a6f79",
+		"prom":   "f694cb28de4a87c1f0660018cf5d40adbea975a942fd2abc795e0cd69a74cfd9",
+		"series": "deb5b30493627b9bf22d3b66dea4834a7b4bbde1ce49cd84f975000bdc1371fd",
+		"trace":  "9cd8f5611ae35ac83288d63da1dc711621bf706f15ff4c45c123991198625332",
+	},
+	"spmv/northup-discrete": {
+		"order":  "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+		"stats":  "b2be0b065109bbaf0a562d79ce25169702a4e38a5f68d8ad8c1da8d69bb752f0",
+		"prom":   "47b3e5e2cf5dc309947b8f370289ded0521cd2832bc49e8b7919fbfd19770410",
+		"series": "bf6c9c33e9f20cde490e482fb85fe6e7a1c1e0338869c89c848ea0be14312076",
+		"trace":  "8bbd5e95e18ab58c86d4f85f11cfd905e3f078a61b094b1aa76791adf9b593fa",
+	},
+	"hotspot/northup-apu": {
+		"order":  "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+		"stats":  "e62b719c63938e64a3d0d59d1d835855ce5ab25199ee3549ecb77bf73a243544",
+		"prom":   "403e3f22737c0f3a294804e4cacd46c4a8d55c6c5ab3abcb753376fe9e90a3aa",
+		"series": "d0cd41ad42482cd7bc6117e11f722698128cc23277ba3a192b103e14590018e4",
+		"trace":  "50edaf1332ab72de827a06e9ebe05681e0d59f204f3c944b6d50c22386a6e434",
+	},
+	"hotspot/northup-discrete": {
+		"order":  "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+		"stats":  "0060b827ef148f39ab3db5d528702348c79db53233f57722a9d0fa504226ff56",
+		"prom":   "d8317367c86675d5b0dc4383274497ae3b4742a188741638ec60d2feaa842183",
+		"series": "e7667012c09591bf00ef45adb915d4acabe283f9dc1b7d62c416f9c690f2ef83",
+		"trace":  "0b87cc2c493628820dc72a664fb3e7be15ff272f8733c9edb445995d19154c81",
+	},
+	"hotspot/streamed": {
+		"order":  "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+		"stats":  "9743b20b7a44dffd447b99067b21dca08e52aed6148643ce4e38d3f0b31a4e4a",
+		"prom":   "1a7a63ff6a87b1ab0172c7486ae254feb695f8715962a04db5774e99437849f4",
+		"series": "e16d9f111d5e866502aae9aad45960278cac33b196930900dbb870a795de6b47",
+		"trace":  "3b98d2919ed4d2c0239f22bf897c7058250697337dd41b29820cb00607bf7d8b",
+	},
+	"hotspot/inmemory": {
+		"order":  "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+		"stats":  "9c0863399240b156e287535ba7e39a5d81d58c04852ca3d89fa6705230674b95",
+		"prom":   "0f25aa1cd4f762d6392fc5ea0bffe45e332cb8d39e0cd12f6194495e73373324",
+		"series": "8a8c92251e339c460aef35a7d1886f4a1bc2ccc27a5f1433463061962b5cfecc",
+		"trace":  "ed1e1a9073bde98cb38ab74c9eaf8552a02d4a77e28dff3a7a8879f5561e1a19",
+	},
+	"hotspot/profiled": {
+		"order":  "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+		"stats":  "84a8be39e5a20b2623a298fab4cb3734ac40de90daee537dc8b8434633a26b72",
+		"prom":   "4c4e325bc97ceb4f638d084320fe56307f2c31e314d6e427ce5904c1bd0acdc3",
+		"series": "b9e515b029e44f9c9ec6c026e96ba6cfba63898e08e6c7e8bfd13fa05d818b9f",
+		"trace":  "c291c194878627f4833ca5e9f20d00c76d2af413034de43532604b955b4a4c6f",
+	},
+	"hotspot/multibranch-static": {
+		"order":  "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+		"stats":  "65efa3fe4af4608557047ec47bb0a30bf1bade006bb5ca96be0e99ff8a74f270",
+		"prom":   "74d763720ba683cca84b682e4f842c8bb35096e79cfc55d55725c2c3b2d0324a",
+		"series": "1b06c59fb6a94f80a4c74cae550f16f058c1ffc82f74966025037ac9b73d9f95",
+		"trace":  "be5f72267bc0bd7052a81d31410c7ee57191f0fdd3aa7fd548156d125edba93e",
+	},
+	"hotspot/multibranch-dynamic": {
+		"order":  "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+		"stats":  "26e542607101ff2185f7e33a56e1029616b478efcd9a9b371568cd3ae86a757c",
+		"prom":   "f84accdc985198574fde79766618f7993490a34f37cbe4d083d159ef54f3c887",
+		"series": "bed2aa816f77c4569d788c9e8a30e985ac3e00de30b25028be97c4bcbf6bbef2",
+		"trace":  "51f87e2490f99f32e498f3b4f77edf78651446419462b1adb79fd28bcd098f3e",
+	},
 }
 
 // goldenRuntime builds a phantom, traced and metered apu-ssd runtime with
 // the staging cache at cacheBytes (0: off).
 func goldenRuntime(cacheBytes int64) (*core.Runtime, *obs.Registry, *obs.Sampler) {
+	return goldenRuntimeOn(goldenAPU, cacheBytes)
+}
+
+// Trees the golden runs use: the 2-level APU, the 3-level discrete-GPU
+// tree on an HDD root (so file placement feeds the seek model), the §VI
+// NVM-staged tree, a two-branch tree with one fast and one slow GPU, and
+// the single-DRAM in-memory baseline.
+func goldenAPU(e *sim.Engine) *topo.Tree {
+	return topo.APU(e, topo.APUConfig{Storage: topo.SSD, StorageMiB: 64, DRAMMiB: 8, WithCPU: true})
+}
+
+func goldenDiscrete(e *sim.Engine) *topo.Tree {
+	return topo.Discrete(e, topo.DiscreteConfig{Storage: topo.HDD, StorageMiB: 64, DRAMMiB: 8, GPUMemMiB: 2})
+}
+
+func goldenNVM(e *sim.Engine) *topo.Tree {
+	return topo.APUWithNVM(e, topo.NVMConfig{Storage: topo.SSD, StorageMiB: 64, NVMMiB: 32, DRAMMiB: 8})
+}
+
+func goldenBranches(e *sim.Engine) *topo.Tree {
+	return topo.MultiBranch(e, topo.MultiBranchConfig{Storage: topo.SSD, StorageMiB: 64,
+		BranchDRAMMiB: []int64{8, 8}, FastBranches: []bool{false, true}})
+}
+
+func goldenInMemory(e *sim.Engine) *topo.Tree { return topo.InMemory(e, 8) }
+
+// goldenRuntimeOn is goldenRuntime on the tree that build returns.
+func goldenRuntimeOn(build func(*sim.Engine) *topo.Tree, cacheBytes int64) (*core.Runtime, *obs.Registry, *obs.Sampler) {
 	e := sim.NewEngine()
-	tree := topo.APU(e, topo.APUConfig{Storage: topo.SSD, StorageMiB: 64, DRAMMiB: 8, WithCPU: true})
+	tree := build(e)
 	opts := core.DefaultOptions()
 	opts.Phantom = true
 	if cacheBytes > 0 {
@@ -126,9 +246,90 @@ func goldenDigests(t *testing.T, rt *core.Runtime, reg *obs.Registry, sampler *o
 	return out
 }
 
+// legacyGolden lists the recursive (non-graph) drivers: each app's
+// RunNorthup on the 2- and 3-level trees, GEMM's streamed and NVM-staged
+// variants, and HotSpot's streamed, in-memory, profiled and multi-branch
+// runs. Each returns the string its "stats" digest hashes.
+var legacyGolden = []struct {
+	name  string
+	tree  func(*sim.Engine) *topo.Tree
+	cache int64
+	run   func(rt *core.Runtime) (string, error)
+}{
+	{"gemm/northup-apu", goldenAPU, 1 << 20, func(rt *core.Runtime) (string, error) {
+		r, err := gemm.RunNorthup(rt, gemm.Config{N: 256, Seed: 1, ShardDim: 64})
+		return goldenResult(r, err)
+	}},
+	{"gemm/northup-discrete", goldenDiscrete, 1 << 20, func(rt *core.Runtime) (string, error) {
+		r, err := gemm.RunNorthup(rt, gemm.Config{N: 256, Seed: 1, ShardDim: 64})
+		return goldenResult(r, err)
+	}},
+	{"gemm/streamed", goldenDiscrete, 1 << 20, func(rt *core.Runtime) (string, error) {
+		r, err := gemm.RunNorthup(rt, gemm.Config{N: 256, Seed: 1, ShardDim: 128, Streamed: true})
+		return goldenResult(r, err)
+	}},
+	{"gemm/stageb-nvm", goldenNVM, 1 << 20, func(rt *core.Runtime) (string, error) {
+		r, err := gemm.RunNorthup(rt, gemm.Config{N: 256, Seed: 1, ShardDim: 64, StageB: true})
+		return goldenResult(r, err)
+	}},
+	{"spmv/northup-apu", goldenAPU, 512 << 10, func(rt *core.Runtime) (string, error) {
+		r, err := spmv.RunNorthup(rt, spmv.Config{N: 8192, AvgNNZ: 16, Kind: workload.SparsePowerLaw,
+			Seed: 1, Iters: 2, Chunks: 8})
+		return goldenResult(r, err)
+	}},
+	{"spmv/northup-discrete", goldenDiscrete, 512 << 10, func(rt *core.Runtime) (string, error) {
+		r, err := spmv.RunNorthup(rt, spmv.Config{N: 8192, AvgNNZ: 16, Kind: workload.SparsePowerLaw,
+			Seed: 1, Iters: 2, Chunks: 8})
+		return goldenResult(r, err)
+	}},
+	{"hotspot/northup-apu", goldenAPU, 1 << 20, func(rt *core.Runtime) (string, error) {
+		r, err := hotspot.RunNorthup(rt, hotspot.Config{N: 256, Seed: 1, ChunkDim: 128, Iters: 3, Passes: 2})
+		return goldenResult(r, err)
+	}},
+	{"hotspot/northup-discrete", goldenDiscrete, 1 << 20, func(rt *core.Runtime) (string, error) {
+		r, err := hotspot.RunNorthup(rt, hotspot.Config{N: 256, Seed: 1, ChunkDim: 128, Iters: 3, Passes: 2})
+		return goldenResult(r, err)
+	}},
+	{"hotspot/streamed", goldenDiscrete, 1 << 20, func(rt *core.Runtime) (string, error) {
+		r, err := hotspot.RunNorthup(rt, hotspot.Config{N: 256, Seed: 1, ChunkDim: 128, Iters: 3, Passes: 2,
+			Streamed: true, StreamOpts: core.StreamOptions{SubChunks: 3}})
+		return goldenResult(r, err)
+	}},
+	{"hotspot/inmemory", goldenInMemory, 0, func(rt *core.Runtime) (string, error) {
+		r, err := hotspot.RunInMemory(rt, hotspot.Config{N: 256, Seed: 1, Iters: 3, Passes: 2})
+		return goldenResult(r, err)
+	}},
+	{"hotspot/profiled", goldenAPU, 0, func(rt *core.Runtime) (string, error) {
+		r, err := hotspot.RunProfiled(rt, hotspot.Config{N: 256, Seed: 1, ChunkDim: 64, Iters: 3})
+		if err != nil {
+			return "", err
+		}
+		return fmt.Sprintf("%+v %d %d", r.Result, r.ChunksOnGPU, r.ChunksOnCPU), nil
+	}},
+	{"hotspot/multibranch-static", goldenBranches, 0, func(rt *core.Runtime) (string, error) {
+		r, err := hotspot.RunMultiBranch(rt, hotspot.MultiBranchConfig{N: 1024, Seed: 1, ChunkDim: 256,
+			Iters: 30, Policy: hotspot.StaticPartition})
+		return goldenResult(r, err)
+	}},
+	{"hotspot/multibranch-dynamic", goldenBranches, 0, func(rt *core.Runtime) (string, error) {
+		r, err := hotspot.RunMultiBranch(rt, hotspot.MultiBranchConfig{N: 1024, Seed: 1, ChunkDim: 256,
+			Iters: 30, Policy: hotspot.DynamicQueue})
+		return goldenResult(r, err)
+	}},
+}
+
+// goldenResult renders a phantom driver result for the "stats" digest.
+func goldenResult[R any](r *R, err error) (string, error) {
+	if err != nil {
+		return "", err
+	}
+	return fmt.Sprintf("%+v", *r), nil
+}
+
 // TestSchedulerGolden runs the task-graph apps under both placement
-// policies and the hotspot CPU+GPU stealing scheduler, and requires every
-// observable to match the pinned hashes byte for byte.
+// policies, the hotspot CPU+GPU stealing scheduler and every legacy
+// recursive driver, and requires every observable to match the pinned
+// hashes byte for byte.
 func TestSchedulerGolden(t *testing.T) {
 	got := map[string]map[string]string{}
 	for _, affinity := range []bool{false, true} {
@@ -174,6 +375,20 @@ func TestSchedulerGolden(t *testing.T) {
 	got["hotspot/steal"] = goldenDigests(t, rt, reg, sampler, fmt.Sprintf("%d %d %d %d %d %v",
 		res.Steals, res.Pops, res.TasksByGPU, res.TasksByCPU, res.Failovers, res.Stats.Elapsed))
 
+	for _, lc := range legacyGolden {
+		rt, reg, sampler := goldenRuntimeOn(lc.tree, lc.cache)
+		stats, err := lc.run(rt)
+		if err != nil {
+			t.Fatalf("%s: %v", lc.name, err)
+		}
+		got[lc.name] = goldenDigests(t, rt, reg, sampler, stats)
+	}
+
+	for run, sums := range got {
+		if schedulerGolden[run] == nil {
+			t.Errorf("%s: no pinned hashes; got %q", run, sums)
+		}
+	}
 	for run, want := range schedulerGolden {
 		for part, sum := range want {
 			if got[run][part] != sum {
