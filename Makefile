@@ -24,11 +24,13 @@
 #                     cache-on 4k affinity grid (deques and task graph)
 #   make bench-check  perf-regression gate: re-run the perf suite (race
 #                     detector on) and diff against the committed BENCH_perf.json
+#   make loc          non-test Go line count outside perfbench/ (the figure
+#                     each change reports in CHANGES.md)
 #   make all          both gates plus the benchmark artifacts
 
 GO ?= go
 
-.PHONY: all build test vet race lint check strict bench bench-json bench-stream bench-serve bench-affinity bench-identical bench-sim bench-layers bench-check trace-demo serve-demo ops-demo tail-demo clean
+.PHONY: all build test vet race lint check strict bench bench-json bench-stream bench-serve bench-affinity bench-identical bench-sim bench-layers bench-check trace-demo serve-demo ops-demo tail-demo loc clean
 
 all: check strict bench-json
 
@@ -181,6 +183,11 @@ bench-layers:
 # per-metric tolerances; a ≥5% drift (either direction) fails the build.
 bench-check:
 	$(GO) run -race ./cmd/northup-bench -check BENCH_perf.json
+
+# Size of the program: every non-test Go line outside the separate
+# perfbench/ module.
+loc:
+	@find . -name '*.go' -not -path './perfbench/*' -not -name '*_test.go' | xargs cat | wc -l
 
 clean:
 	$(GO) clean ./...

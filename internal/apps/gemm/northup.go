@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/topo"
 	"repro/internal/view"
 	"repro/internal/workload"
 )
@@ -82,13 +83,25 @@ func chooseShardDim(n, depth int, free int64) (int, error) {
 	return 0, fmt.Errorf("gemm: no shard size fits %d free bytes for N=%d", free, n)
 }
 
-// RunNorthup executes out-of-core GEMM on the runtime's tree. The tree root
-// must be a storage node holding the inputs; the algorithm follows §IV-A:
-// row and column shards move to the staging level, a row shard is reused
-// across all column shards of its row of C blocks, and on 3-level trees the
-// shard product is further decomposed into k-panels accumulated in GPU
-// device memory.
-func RunNorthup(rt *core.Runtime, cfg Config) (*Result, error) {
+// blockEnv is the definition every GEMM driver shares: the staging node,
+// the shard geometry, and the A, B and C files on the storage root. A
+// C-block task body captures one pointer to it and its block coordinates
+// rather than a copy of each value.
+type blockEnv struct {
+	dram                   *topo.Node
+	fa, fb, fc             *core.Buffer
+	s, n, cb               int
+	shardBytes, blockBytes int64
+	functional             bool
+	cfg                    Config
+}
+
+// newBlockEnv applies cfg's defaults, checks the tree (a storage root with
+// a single staging child), picks the shard dimension — after reserving B's
+// residency at the staging level when cfg.StageB — and creates the inputs
+// on the storage root. B is presharded (the paper's one-time
+// preprocessing); in phantom mode only the file extents exist.
+func newBlockEnv(rt *core.Runtime, cfg Config) (*blockEnv, error) {
 	if err := cfg.setDefaults(); err != nil {
 		return nil, err
 	}
@@ -121,10 +134,7 @@ func RunNorthup(rt *core.Runtime, cfg Config) (*Result, error) {
 	if n%s != 0 {
 		return nil, fmt.Errorf("gemm: shard %d does not divide N=%d", s, n)
 	}
-	cb := n / s // chunk grid is cb x cb
 
-	// Inputs resident on storage. B is presharded (the paper's one-time
-	// preprocessing); in phantom mode only the file extents exist.
 	var aData, bPre []float32
 	functional := !rt.Phantom()
 	if functional {
@@ -144,10 +154,43 @@ func RunNorthup(rt *core.Runtime, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	return &blockEnv{dram: dram, fa: fa, fb: fb, fc: fc, s: s, n: n, cb: n / s,
+		shardBytes: int64(s) * int64(n) * 4, blockBytes: int64(s) * int64(s) * 4,
+		functional: functional, cfg: cfg}, nil
+}
 
-	shardBytes := int64(s) * int64(n) * 4
-	blockBytes := int64(s) * int64(s) * 4
+// blockOff is the offset of C block (i, j) in the block-major C file.
+func (e *blockEnv) blockOff(i, j int) int64 {
+	return (int64(i)*int64(e.cb) + int64(j)) * e.blockBytes
+}
 
+// result wraps a finished run's stats and, in functional runs, reads C
+// back from its block-major file.
+func (e *blockEnv) result(stats core.RunStats) (*Result, error) {
+	res := &Result{Stats: stats, ShardDim: e.s, BStaged: e.cfg.StageB}
+	if e.functional {
+		blocks := make([]float32, int64(e.n)*int64(e.n))
+		if err := e.fc.File().Peek(view.F32Bytes(blocks), 0); err != nil {
+			return nil, err
+		}
+		res.C = assembleBlockMajor(blocks, e.n, e.s)
+	}
+	return res, nil
+}
+
+// RunNorthup executes out-of-core GEMM on the runtime's tree. The tree root
+// must be a storage node holding the inputs; the algorithm follows §IV-A:
+// row and column shards move to the staging level, a row shard is reused
+// across all column shards of its row of C blocks, and on 3-level trees the
+// shard product is further decomposed into k-panels accumulated in GPU
+// device memory.
+func RunNorthup(rt *core.Runtime, cfg Config) (*Result, error) {
+	e, err := newBlockEnv(rt, cfg)
+	if err != nil {
+		return nil, err
+	}
+	cfg = e.cfg
+	bBytes := int64(e.n) * int64(e.n) * 4
 	stats, err := rt.Run("gemm-northup", func(c *core.Ctx) error {
 		// §VI staging: read B from storage once and keep it resident at
 		// the (large, NVM-class) staging level; all column-shard reloads
@@ -155,30 +198,30 @@ func RunNorthup(rt *core.Runtime, cfg Config) (*Result, error) {
 		// a pinned whole-B fetch through the staging cache; with the cache
 		// disabled the fetch degrades to a private staged copy with the
 		// same bytes and timing.
-		colSrc := fb
+		colSrc := e.fb
 		if cfg.StageB {
-			bRes, err := c.MoveDataDownCached(dram, fb, 0, elems*4)
+			bRes, err := c.MoveDataDownCached(e.dram, e.fb, 0, bBytes)
 			if err != nil {
 				return err
 			}
 			defer c.Unpin(bRes)
 			colSrc = bRes
 		}
-		rowShard, err := c.AllocAt(dram, shardBytes)
+		rowShard, err := c.AllocAt(e.dram, e.shardBytes)
 		if err != nil {
 			return err
 		}
 		defer c.Release(rowShard)
-		colShards := make([]*core.Buffer, cb)
-		cBlocks := make([]*core.Buffer, cb)
-		for i := 0; i < cb; i++ {
+		colShards := make([]*core.Buffer, e.cb)
+		cBlocks := make([]*core.Buffer, e.cb)
+		for i := 0; i < e.cb; i++ {
 			// Load the row shard once; it is reused by every column shard
 			// of this block row (the §IV-A reuse optimization).
 			if cfg.Streamed {
-				if err := c.MoveDataDownStreamed(rowShard, fa, 0, int64(i)*shardBytes, shardBytes, cfg.StreamOpts); err != nil {
+				if err := c.MoveDataDownStreamed(rowShard, e.fa, 0, int64(i)*e.shardBytes, e.shardBytes, cfg.StreamOpts); err != nil {
 					return err
 				}
-			} else if err := c.MoveDataDown(rowShard, fa, 0, int64(i)*shardBytes, shardBytes); err != nil {
+			} else if err := c.MoveDataDown(rowShard, e.fa, 0, int64(i)*e.shardBytes, e.shardBytes); err != nil {
 				return err
 			}
 			depth := cfg.Depth
@@ -189,44 +232,44 @@ func RunNorthup(rt *core.Runtime, cfg Config) (*Result, error) {
 			// Each stage body runs as a named task span, so a traced run
 			// renders the pipeline's load/multiply/store overlap (the
 			// paper's Fig. 5 picture) as staggered task lanes.
-			err := stageRunner(cb, depth,
+			err := stageRunner(e.cb, depth,
 				func(sub *core.Ctx, j int) error { // load column shard
-					return sub.Task("load-shard", shardBytes, func(sub *core.Ctx) error {
+					return sub.Task("load-shard", e.shardBytes, func(sub *core.Ctx) error {
 						if cfg.StageB {
 							// B is already resident at the staging level: the
 							// reload is an on-node copy out of the pinned image.
-							buf, err := sub.AllocAt(dram, shardBytes)
+							buf, err := sub.AllocAt(e.dram, e.shardBytes)
 							if err != nil {
 								return err
 							}
 							colShards[j] = buf
-							return sub.MoveData(buf, colSrc, 0, int64(j)*shardBytes, shardBytes)
+							return sub.MoveData(buf, colSrc, 0, int64(j)*e.shardBytes, e.shardBytes)
 						}
 						// Without StageB the column shard comes straight from
 						// storage; the staging cache turns the cb-1 re-reads of
 						// each shard (one per block row) into hits, and the
 						// pipeline's deterministic schedule makes j+1 the next
 						// load — prefetch it behind this one.
-						buf, err := sub.MoveDataDownCached(dram, fb, int64(j)*shardBytes, shardBytes)
+						buf, err := sub.MoveDataDownCached(e.dram, e.fb, int64(j)*e.shardBytes, e.shardBytes)
 						if err != nil {
 							return err
 						}
 						colShards[j] = buf
-						if j+1 < cb {
-							sub.Prefetch(dram, fb, int64(j+1)*shardBytes, shardBytes)
+						if j+1 < e.cb {
+							sub.Prefetch(e.dram, e.fb, int64(j+1)*e.shardBytes, e.shardBytes)
 						}
 						return nil
 					})
 				},
 				func(sub *core.Ctx, j int) error { // recursive multiply
-					return sub.Task("multiply-shard", blockBytes, func(sub *core.Ctx) error {
-						buf, err := sub.AllocAt(dram, blockBytes)
+					return sub.Task("multiply-shard", e.blockBytes, func(sub *core.Ctx) error {
+						buf, err := sub.AllocAt(e.dram, e.blockBytes)
 						if err != nil {
 							return err
 						}
 						cBlocks[j] = buf
-						err = sub.Descend(dram, func(dc *core.Ctx) error {
-							return multiplyShard(dc, rowShard, colShards[j], buf, s, n, s, functional, cfg)
+						err = sub.Descend(e.dram, func(dc *core.Ctx) error {
+							return multiplyShard(dc, rowShard, colShards[j], buf, e.s, e.n, e.s, e.functional, cfg)
 						})
 						if cfg.StageB {
 							sub.Release(colShards[j])
@@ -238,13 +281,13 @@ func RunNorthup(rt *core.Runtime, cfg Config) (*Result, error) {
 					})
 				},
 				func(sub *core.Ctx, j int) error { // store result block
-					return sub.Task("store-block", blockBytes, func(sub *core.Ctx) error {
+					return sub.Task("store-block", e.blockBytes, func(sub *core.Ctx) error {
 						var err error
-						off := (int64(i)*int64(cb) + int64(j)) * blockBytes
+						off := e.blockOff(i, j)
 						if cfg.Streamed {
-							err = sub.MoveDataUpStreamed(fc, cBlocks[j], off, 0, blockBytes, cfg.StreamOpts)
+							err = sub.MoveDataUpStreamed(e.fc, cBlocks[j], off, 0, e.blockBytes, cfg.StreamOpts)
 						} else {
-							err = sub.MoveData(fc, cBlocks[j], off, 0, blockBytes)
+							err = sub.MoveData(e.fc, cBlocks[j], off, 0, e.blockBytes)
 						}
 						sub.Release(cBlocks[j])
 						cBlocks[j] = nil
@@ -253,6 +296,19 @@ func RunNorthup(rt *core.Runtime, cfg Config) (*Result, error) {
 				},
 			)
 			if err != nil {
+				// Shards and blocks a failed item left behind.
+				for j, buf := range colShards {
+					switch {
+					case buf == nil:
+					case cfg.StageB:
+						c.Release(buf)
+					default:
+						c.Unpin(buf)
+					}
+					if cBlocks[j] != nil {
+						c.Release(cBlocks[j])
+					}
+				}
 				return err
 			}
 		}
@@ -261,12 +317,7 @@ func RunNorthup(rt *core.Runtime, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	res := &Result{Stats: stats, ShardDim: s, BStaged: cfg.StageB}
-	if functional {
-		res.C = assembleBlockMajor(fcPeek(rt, fc, elems), n, s)
-	}
-	return res, nil
+	return e.result(stats)
 }
 
 // multiplyShard computes cBuf(n x m) = aBuf(n x k) · bBuf(k x m), with all
@@ -293,26 +344,24 @@ func multiplyShard(c *core.Ctx, aBuf, bBuf, cBuf *core.Buffer, n, k, m int, func
 	// (§III-C: "overlapping computation and communications (i.e.,
 	// OpenCL/CUDA streams)"): while the kernel consumes slot p%2 the PCIe
 	// link fills the other.
-	var gA, gB [2]*core.Buffer
-	for s := 0; s < 2; s++ {
-		if gA[s], err = c.AllocAt(child, int64(n)*int64(kp)*4); err != nil {
-			return err
-		}
-		if gB[s], err = c.AllocAt(child, int64(kp)*int64(m)*4); err != nil {
-			return err
-		}
-	}
-	gC, err := c.AllocAt(child, int64(n)*int64(m)*4)
-	if err != nil {
-		return err
-	}
+	// Release whatever was allocated, also when a later allocation fails.
+	var bufs []*core.Buffer
 	defer func() {
-		for s := 0; s < 2; s++ {
-			c.Release(gA[s])
-			c.Release(gB[s])
+		for _, b := range bufs {
+			c.Release(b)
 		}
-		c.Release(gC)
 	}()
+	aBytes, bBytes := int64(n)*int64(kp)*4, int64(kp)*int64(m)*4
+	for _, size := range []int64{aBytes, bBytes, aBytes, bBytes, int64(n) * int64(m) * 4} {
+		b, err := c.AllocAt(child, size)
+		if err != nil {
+			return err
+		}
+		bufs = append(bufs, b)
+	}
+	gA := [2]*core.Buffer{bufs[0], bufs[2]}
+	gB := [2]*core.Buffer{bufs[1], bufs[3]}
+	gC := bufs[4]
 	panels := k / kp
 	err = c.Pipeline(panels, 2,
 		func(sub *core.Ctx, p int) error { // stream the panel pair down
@@ -372,15 +421,6 @@ func choosePanelDepth(n, k, m int, free int64) (int, error) {
 		}
 	}
 	return 0, fmt.Errorf("gemm: no k-panel fits %d free bytes (n=%d k=%d m=%d)", free, n, k, m)
-}
-
-// fcPeek reads the whole C file functionally (untimed verification path).
-func fcPeek(rt *core.Runtime, fc *core.Buffer, elems int64) []float32 {
-	out := make([]float32, elems)
-	if err := fc.File().Peek(view.F32Bytes(out), 0); err != nil {
-		panic(err)
-	}
-	return out
 }
 
 // assembleBlockMajor converts the block-major C file layout (block (i,j) of

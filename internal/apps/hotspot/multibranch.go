@@ -7,7 +7,6 @@ import (
 	"repro/internal/sched"
 	"repro/internal/topo"
 	"repro/internal/view"
-	"repro/internal/workload"
 )
 
 // This file exercises the asymmetric, multi-branch trees of the paper's
@@ -85,29 +84,10 @@ func RunMultiBranch(rt *core.Runtime, cfg MultiBranchConfig) (*MultiBranchResult
 	chunks := cb * cb
 	chunkBytes := int64(d) * int64(d) * 4
 	borderBytes := int64(4*d) * 4
-	gridBytes := int64(n) * int64(n) * 4
-	functional := !rt.Phantom()
 
-	var tempPre, powerPre, border0 []byte
-	if functional {
-		grid := workload.HotSpotGrid(n, cfg.Seed)
-		tempPre = view.F32Bytes(toChunkMajor(grid.Temp, n, d))
-		powerPre = view.F32Bytes(toChunkMajor(grid.Power, n, d))
-		border0 = view.F32Bytes(packAllBorders(grid.Temp, n, d))
-	}
-	fIn, err := rt.CreateInput(root, "mb-temp-in", gridBytes, tempPre)
-	if err != nil {
-		return nil, err
-	}
-	fOut, err := rt.CreateInput(root, "mb-temp-out", gridBytes, nil)
-	if err != nil {
-		return nil, err
-	}
-	fP, err := rt.CreateInput(root, "mb-power", gridBytes, powerPre)
-	if err != nil {
-		return nil, err
-	}
-	fB, err := rt.CreateInput(root, "mb-border", int64(chunks)*borderBytes, border0)
+	// One pass reads the initial borders and writes no new ones.
+	files, err := createGridFiles(rt, n, d, cfg.Seed,
+		[5]string{"mb-temp-in", "mb-temp-out", "mb-power", "mb-border", ""})
 	if err != nil {
 		return nil, err
 	}
@@ -148,7 +128,7 @@ func RunMultiBranch(rt *core.Runtime, cfg MultiBranchConfig) (*MultiBranchResult
 						return nil
 					}
 					if err := processBranchChunk(sub, branch, cfg, ci, cb,
-						chunkBytes, borderBytes, fIn, fOut, fP, fB, functional); err != nil {
+						chunkBytes, borderBytes, files); err != nil {
 						return err
 					}
 					res.ChunksByBranch[bi]++
@@ -167,9 +147,9 @@ func RunMultiBranch(rt *core.Runtime, cfg MultiBranchConfig) (*MultiBranchResult
 		return nil, err
 	}
 	res.Stats = stats
-	if functional {
+	if !rt.Phantom() {
 		final := make([]float32, n*n)
-		if err := fOut.File().Peek(view.F32Bytes(final), 0); err != nil {
+		if err := files.temp[1].File().Peek(view.F32Bytes(final), 0); err != nil {
 			return nil, err
 		}
 		res.Temp = fromChunkMajor(final, n, d)
@@ -180,8 +160,7 @@ func RunMultiBranch(rt *core.Runtime, cfg MultiBranchConfig) (*MultiBranchResult
 // processBranchChunk runs one chunk through one branch: load into the
 // branch's staging memory, iterate at its leaf, store back.
 func processBranchChunk(sub *core.Ctx, branch *topo.Node, cfg MultiBranchConfig,
-	ci, cb int, chunkBytes, borderBytes int64,
-	fIn, fOut, fP, fB *core.Buffer, functional bool) error {
+	ci, cb int, chunkBytes, borderBytes int64, files gridFiles) error {
 
 	d := cfg.ChunkDim
 	// Release whatever was allocated, also when a later allocation fails.
@@ -199,42 +178,20 @@ func processBranchChunk(sub *core.Ctx, branch *topo.Node, cfg MultiBranchConfig,
 		bufs = append(bufs, b)
 	}
 	tin, tout, pow, bord := bufs[0], bufs[1], bufs[2], bufs[3]
-	if err := sub.MoveData(tin, fIn, 0, int64(ci)*chunkBytes, chunkBytes); err != nil {
+	if err := sub.MoveData(tin, files.temp[0], 0, int64(ci)*chunkBytes, chunkBytes); err != nil {
 		return err
 	}
-	if err := sub.MoveData(pow, fP, 0, int64(ci)*chunkBytes, chunkBytes); err != nil {
+	if err := sub.MoveData(pow, files.power, 0, int64(ci)*chunkBytes, chunkBytes); err != nil {
 		return err
 	}
-	if err := sub.MoveData(bord, fB, 0, borderOff(ci, d), borderBytes); err != nil {
+	if err := sub.MoveData(bord, files.border[0], 0, borderOff(ci, d), borderBytes); err != nil {
 		return err
 	}
 	err := sub.Descend(branch, func(lc *core.Ctx) error {
-		var blk *Block
-		if functional {
-			blk = &Block{
-				D:     d,
-				In:    view.F32(tin.Bytes()),
-				Out:   view.F32(tout.Bytes()),
-				Power: view.F32(pow.Bytes()),
-				B:     unpackBorders(view.F32(bord.Bytes()), d, cb, ci),
-			}
-		}
-		for it := 0; it < cfg.Iters; it++ {
-			kern, groups := TileKernelFor(blk, d)
-			if _, err := lc.LaunchKernel(kern, groups); err != nil {
-				return err
-			}
-			if blk != nil {
-				blk.Swap()
-			}
-		}
-		if functional && cfg.Iters%2 == 1 {
-			copy(view.F32(tin.Bytes()), view.F32(tout.Bytes()))
-		}
-		return nil
+		return iterateChunk(lc, gpuIterations, cfg.Iters, tin, tout, pow, bord, d, cb, ci)
 	})
 	if err != nil {
 		return err
 	}
-	return sub.MoveData(fOut, tin, int64(ci)*chunkBytes, 0, chunkBytes)
+	return sub.MoveData(files.temp[1], tin, int64(ci)*chunkBytes, 0, chunkBytes)
 }

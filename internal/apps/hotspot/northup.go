@@ -101,44 +101,101 @@ func TileKernelFor(blk *Block, d int) (gpu.Kernel, int) {
 	return kern, groups
 }
 
+// gpuIterations advances blk by iters Jacobi steps on the GPU at lc's
+// node, one tile-kernel launch per step. blk is nil in phantom mode.
+func gpuIterations(lc *core.Ctx, blk *Block, d, iters int) error {
+	for it := 0; it < iters; it++ {
+		kern, groups := TileKernelFor(blk, d)
+		if _, err := lc.LaunchKernel(kern, groups); err != nil {
+			return err
+		}
+		if blk != nil {
+			blk.Swap()
+		}
+	}
+	return nil
+}
+
 // RunNorthup executes the out-of-core thermal simulation per §IV-B: the
 // grid lives chunk-major on the storage root (the one-time preprocessing),
 // each pass pipelines chunks through the staging level, runs Iters stencil
 // steps on the GPU with pass-start border vectors, writes results back, and
 // regenerates the border file for the next pass from chunk edges.
 func RunNorthup(rt *core.Runtime, cfg Config) (*Result, error) {
-	return runChunked(rt, cfg, func(lc *core.Ctx, blk *Block, d int) error {
-		for it := 0; it < cfg.itersResolved(); it++ {
-			kern, groups := TileKernelFor(blk, d)
-			if _, err := lc.LaunchKernel(kern, groups); err != nil {
-				return err
-			}
-			if blk != nil {
-				blk.Swap()
-			}
-		}
-		return nil
-	})
+	return runChunked(rt, cfg, gpuIterations)
 }
 
-// itersResolved returns the per-pass iteration count after defaulting.
-func (cfg *Config) itersResolved() int {
-	if cfg.Iters <= 0 {
-		return 60
+// chunkComputeFn advances one chunk by iters steps. blk is nil in phantom
+// mode; implementations must call blk.Swap() after every iteration so the
+// final state lands per the odd/even convention iterateChunk folds up.
+type chunkComputeFn func(lc *core.Ctx, blk *Block, d, iters int) error
+
+// gridFiles is a run's input grid on the storage root, laid out
+// chunk-major (the paper's one-time preprocessing, untimed): temperature
+// in and out, power, and the packed border records in and out.
+type gridFiles struct {
+	temp   [2]*core.Buffer // temp[0] holds the initial grid
+	power  *core.Buffer
+	border [2]*core.Buffer // border[0] holds the initial borders
+}
+
+// createGridFiles preprocesses the n x n grid for chunk edge d and creates
+// its files on the storage root, named in the order temp in, temp out,
+// power, border in, border out. An empty name skips that file.
+func createGridFiles(rt *core.Runtime, n, d int, seed int64, names [5]string) (gridFiles, error) {
+	cb := n / d
+	gridBytes := int64(n) * int64(n) * 4
+	borderFileBytes := int64(cb*cb) * int64(4*d) * 4
+	sizes := [5]int64{gridBytes, gridBytes, gridBytes, borderFileBytes, borderFileBytes}
+	var data [5][]byte
+	if !rt.Phantom() {
+		grid := workload.HotSpotGrid(n, seed)
+		data[0] = view.F32Bytes(toChunkMajor(grid.Temp, n, d))
+		data[2] = view.F32Bytes(toChunkMajor(grid.Power, n, d))
+		data[3] = view.F32Bytes(packAllBorders(grid.Temp, n, d))
 	}
-	return cfg.Iters
+	var g gridFiles
+	files := [5]**core.Buffer{&g.temp[0], &g.temp[1], &g.power, &g.border[0], &g.border[1]}
+	for i, name := range names {
+		if name == "" {
+			continue
+		}
+		var err error
+		if *files[i], err = rt.CreateInput(rt.Tree().Root(), name, sizes[i], data[i]); err != nil {
+			return gridFiles{}, err
+		}
+	}
+	return g, nil
 }
 
-// chunkComputeFn advances one chunk by the configured iteration count.
-// blk is nil in phantom mode; implementations must call blk.Swap() after
-// every iteration so the final state lands per the odd/even convention
-// runChunked folds up.
-type chunkComputeFn func(lc *core.Ctx, blk *Block, d int) error
+// chunkSlot is one chunk's buffers at the staging level while it is in
+// flight between the load and compute-store stages.
+type chunkSlot struct {
+	tin, tout, pow, bord *core.Buffer
+}
 
-// runChunked is the shared out-of-core skeleton: preprocessing, the
-// load / compute / store pipeline over chunks, border regeneration between
-// passes, and result assembly. RunNorthup plugs in the kernel-launch
-// compute; RunSteal plugs in the queue-based CPU+GPU scheduler.
+// release frees the slot's buffers (unpinning the cached power chunk) and
+// empties it; buffers never allocated are skipped.
+func (s *chunkSlot) release(c *core.Ctx) {
+	if s.tin != nil {
+		c.Release(s.tin)
+	}
+	if s.tout != nil {
+		c.Release(s.tout)
+	}
+	if s.pow != nil {
+		c.Unpin(s.pow)
+	}
+	if s.bord != nil {
+		c.Release(s.bord)
+	}
+	*s = chunkSlot{}
+}
+
+// runChunked is the out-of-core skeleton every single-branch driver
+// shares: preprocessing, the load / compute / store pipeline over chunks,
+// border regeneration between passes, and result assembly. compute is the
+// leaf strategy.
 func runChunked(rt *core.Runtime, cfg Config, compute chunkComputeFn) (*Result, error) {
 	if err := cfg.setDefaults(); err != nil {
 		return nil, err
@@ -164,42 +221,14 @@ func runChunked(rt *core.Runtime, cfg Config, compute chunkComputeFn) (*Result, 
 	chunkBytes := int64(d) * int64(d) * 4
 	borderBytes := int64(4*d) * 4
 
-	// Preprocess inputs (untimed, as in the paper): chunk-major temp and
-	// power files, plus the initial border file.
-	functional := !rt.Phantom()
-	var tempPre, powerPre, border0 []byte
-	var grid *workload.Grid
-	if functional {
-		grid = workload.HotSpotGrid(n, cfg.Seed)
-		tempPre = view.F32Bytes(toChunkMajor(grid.Temp, n, d))
-		powerPre = view.F32Bytes(toChunkMajor(grid.Power, n, d))
-		border0 = view.F32Bytes(packAllBorders(grid.Temp, n, d))
-	}
-	gridBytes := int64(n) * int64(n) * 4
-	fT := [2]*core.Buffer{}
-	var err error
-	if fT[0], err = rt.CreateInput(root, "hs-temp-0", gridBytes, tempPre); err != nil {
-		return nil, err
-	}
-	if fT[1], err = rt.CreateInput(root, "hs-temp-1", gridBytes, nil); err != nil {
-		return nil, err
-	}
-	fP, err := rt.CreateInput(root, "hs-power", gridBytes, powerPre)
+	files, err := createGridFiles(rt, n, d, cfg.Seed,
+		[5]string{"hs-temp-0", "hs-temp-1", "hs-power", "hs-border-0", "hs-border-1"})
 	if err != nil {
 		return nil, err
 	}
-	fB := [2]*core.Buffer{}
-	if fB[0], err = rt.CreateInput(root, "hs-border-0", int64(chunks)*borderBytes, border0); err != nil {
-		return nil, err
-	}
-	if fB[1], err = rt.CreateInput(root, "hs-border-1", int64(chunks)*borderBytes, nil); err != nil {
-		return nil, err
-	}
+	fT, fP, fB := files.temp, files.power, files.border
 
-	type inflight struct {
-		tin, tout, pow, bord *core.Buffer
-	}
-	slots := make([]inflight, chunks)
+	slots := make([]chunkSlot, chunks)
 
 	stats, err := rt.Run("hotspot-northup", func(c *core.Ctx) error {
 		for pass := 0; pass < cfg.Passes; pass++ {
@@ -210,7 +239,7 @@ func runChunked(rt *core.Runtime, cfg Config, compute chunkComputeFn) (*Result, 
 			err := c.Pipeline(chunks, cfg.Depth,
 				func(sub *core.Ctx, ci int) error { // load chunk + borders
 					return sub.Task("load-chunk", chunkBytes, func(sub *core.Ctx) error {
-						var s inflight
+						s := &slots[ci]
 						var err error
 						if s.tin, err = sub.AllocAt(dram, chunkBytes); err != nil {
 							return err
@@ -232,7 +261,6 @@ func runChunked(rt *core.Runtime, cfg Config, compute chunkComputeFn) (*Result, 
 						if s.bord, err = sub.AllocAt(dram, borderBytes); err != nil {
 							return err
 						}
-						slots[ci] = s
 						if cfg.Streamed {
 							if err := sub.MoveDataDownStreamed(s.tin, src, 0, int64(ci)*chunkBytes, chunkBytes, cfg.StreamOpts); err != nil {
 								return err
@@ -247,10 +275,9 @@ func runChunked(rt *core.Runtime, cfg Config, compute chunkComputeFn) (*Result, 
 				},
 				func(sub *core.Ctx, ci int) error { // compute at the leaf, then store
 					return sub.Task("compute-store", chunkBytes, func(sub *core.Ctx) error {
-						s := slots[ci]
+						s := &slots[ci]
 						err := sub.Descend(dram, func(dc *core.Ctx) error {
-							return computeChunk(dc, cfg, compute, s.tin, s.tout, s.pow, s.bord,
-								d, cb, ci, functional)
+							return computeChunk(dc, cfg, compute, s.tin, s.tout, s.pow, s.bord, d, cb, ci)
 						})
 						if err != nil {
 							return err
@@ -270,16 +297,16 @@ func runChunked(rt *core.Runtime, cfg Config, compute chunkComputeFn) (*Result, 
 						if err := writeNeighborBorders(sub, bDst, s.tin, d, cb, ci); err != nil {
 							return err
 						}
-						sub.Release(s.tin)
-						sub.Release(s.tout)
-						sub.Unpin(s.pow)
-						sub.Release(s.bord)
-						slots[ci] = inflight{}
+						s.release(sub)
 						return nil
 					})
 				},
 			)
 			if err != nil {
+				// Chunks a failed stage left in flight.
+				for ci := range slots {
+					slots[ci].release(c)
+				}
 				return err
 			}
 		}
@@ -290,7 +317,7 @@ func runChunked(rt *core.Runtime, cfg Config, compute chunkComputeFn) (*Result, 
 	}
 
 	res := &Result{Stats: stats, ChunkDim: d}
-	if functional {
+	if !rt.Phantom() {
 		final := make([]float32, n*n)
 		if err := fT[cfg.Passes%2].File().Peek(view.F32Bytes(final), 0); err != nil {
 			return nil, err
@@ -300,25 +327,15 @@ func runChunked(rt *core.Runtime, cfg Config, compute chunkComputeFn) (*Result, 
 	return res, nil
 }
 
-// computeChunk runs the per-chunk iterations at the leaf. On the 2-level
-// APU tree dc already is the leaf; on the 3-level discrete tree (Figure 8)
-// the chunk and its borders move one more level down into GPU device
-// memory, compute there, and the result moves back up over PCIe.
-func computeChunk(dc *core.Ctx, cfg Config, compute chunkComputeFn,
-	tin, tout, pow, bord *core.Buffer, d, cb, ci int, functional bool) error {
+// iterateChunk advances chunk ci — staged in in, out, power and borders at
+// lc's node — by iters steps of compute, leaving the result in in.
+func iterateChunk(lc *core.Ctx, compute chunkComputeFn, iters int,
+	in, out, power, borders *core.Buffer, d, cb, ci int) error {
 
-	foldOdd := func(in, out *core.Buffer) {
-		if functional && cfg.itersResolved()%2 == 1 {
-			// An odd iteration count leaves the result in the out backing
-			// array; fold it back so the store path always reads in.
-			copy(view.F32(in.Bytes()), view.F32(out.Bytes()))
-		}
-	}
-	mkBlock := func(in, out, power, borders *core.Buffer) *Block {
-		if !functional {
-			return nil
-		}
-		return &Block{
+	functional := !lc.Runtime().Phantom()
+	var blk *Block
+	if functional {
+		blk = &Block{
 			D:     d,
 			In:    view.F32(in.Bytes()),
 			Out:   view.F32(out.Bytes()),
@@ -326,40 +343,46 @@ func computeChunk(dc *core.Ctx, cfg Config, compute chunkComputeFn,
 			B:     unpackBorders(view.F32(borders.Bytes()), d, cb, ci),
 		}
 	}
+	if err := compute(lc, blk, d, iters); err != nil {
+		return err
+	}
+	if functional && iters%2 == 1 {
+		// An odd iteration count leaves the result in the out backing
+		// array; fold it back so the store path always reads in.
+		copy(view.F32(in.Bytes()), view.F32(out.Bytes()))
+	}
+	return nil
+}
+
+// computeChunk runs the per-chunk iterations at the leaf. On the 2-level
+// APU tree dc already is the leaf; on the 3-level discrete tree (Figure 8)
+// the chunk and its borders move one more level down into GPU device
+// memory, compute there, and the result moves back up over PCIe.
+func computeChunk(dc *core.Ctx, cfg Config, compute chunkComputeFn,
+	tin, tout, pow, bord *core.Buffer, d, cb, ci int) error {
 
 	if dc.IsLeaf() {
-		if err := compute(dc, mkBlock(tin, tout, pow, bord), d); err != nil {
-			return err
-		}
-		foldOdd(tin, tout)
-		return nil
+		return iterateChunk(dc, compute, cfg.Iters, tin, tout, pow, bord, d, cb, ci)
 	}
 
 	// 3-level path: stage the chunk into the child (GPU device) memory.
 	child := dc.Children()[0]
 	chunkBytes := tin.Size()
-	gin, err := dc.AllocAt(child, chunkBytes)
-	if err != nil {
-		return err
-	}
-	gout, err := dc.AllocAt(child, chunkBytes)
-	if err != nil {
-		return err
-	}
-	gpow, err := dc.AllocAt(child, chunkBytes)
-	if err != nil {
-		return err
-	}
-	gbord, err := dc.AllocAt(child, bord.Size())
-	if err != nil {
-		return err
-	}
+	// Release whatever was allocated, also when a later allocation fails.
+	var bufs []*core.Buffer
 	defer func() {
-		dc.Release(gin)
-		dc.Release(gout)
-		dc.Release(gpow)
-		dc.Release(gbord)
+		for _, b := range bufs {
+			dc.Release(b)
+		}
 	}()
+	for _, size := range []int64{chunkBytes, chunkBytes, chunkBytes, bord.Size()} {
+		b, err := dc.AllocAt(child, size)
+		if err != nil {
+			return err
+		}
+		bufs = append(bufs, b)
+	}
+	gin, gout, gpow, gbord := bufs[0], bufs[1], bufs[2], bufs[3]
 	moveDown := func(dst, src *core.Buffer, n int64) error {
 		if cfg.Streamed {
 			return dc.MoveDataDownStreamed(dst, src, 0, 0, n, cfg.StreamOpts)
@@ -375,15 +398,11 @@ func computeChunk(dc *core.Ctx, cfg Config, compute chunkComputeFn,
 	if err := moveDown(gbord, bord, bord.Size()); err != nil {
 		return err
 	}
-	err = dc.Descend(child, func(lc *core.Ctx) error {
+	err := dc.Descend(child, func(lc *core.Ctx) error {
 		if !lc.IsLeaf() {
 			return fmt.Errorf("hotspot: trees deeper than 3 levels are not supported")
 		}
-		if err := compute(lc, mkBlock(gin, gout, gpow, gbord), d); err != nil {
-			return err
-		}
-		foldOdd(gin, gout)
-		return nil
+		return iterateChunk(lc, compute, cfg.Iters, gin, gout, gpow, gbord, d, cb, ci)
 	})
 	if err != nil {
 		return err
@@ -569,14 +588,8 @@ func RunInMemory(rt *core.Runtime, cfg Config) (*Result, error) {
 			copy(blk.In, grid.Temp)
 			copy(blk.Power, grid.Power)
 		}
-		for it := 0; it < iters; it++ {
-			kern, groups := TileKernelFor(blk, n)
-			if _, err := c.LaunchKernel(kern, groups); err != nil {
-				return err
-			}
-			if blk != nil {
-				blk.Swap()
-			}
+		if err := gpuIterations(c, blk, n, iters); err != nil {
+			return err
 		}
 		res = &Result{ChunkDim: n}
 		if functional {

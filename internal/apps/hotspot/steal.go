@@ -109,6 +109,20 @@ func stealAcross(other, siblings []*sched.Deque[rowTask], ownIdx int) (t rowTask
 	return 0, false, false
 }
 
+// stealClass describes one processor class's workers: the queues they
+// own, the other class's queues they rob first, the time and charge of one
+// row task, and the counter of tasks they run. GPU workers consult the
+// fault injector before every pop and stall or yield while their GPU is
+// offline; CPU workers count the GPU tasks they take over meanwhile.
+type stealClass struct {
+	name         string
+	own, victims []*sched.Deque[rowTask]
+	taskTime     sim.Time
+	charge       func(*core.Ctx, sim.Time)
+	tasks        *int64
+	gpu          bool
+}
+
 // RunSteal executes the out-of-core stencil with queue-based leaf
 // scheduling. The runtime's tree must be the APU topology with a CPU
 // attached when Mode is CPUGPU.
@@ -125,7 +139,7 @@ func RunSteal(rt *core.Runtime, cfg StealConfig) (*StealResult, error) {
 		return nil, fmt.Errorf("hotspot: steal run needs a storage root")
 	}
 	res := &StealResult{}
-	compute := func(lc *core.Ctx, blk *Block, d int) error {
+	compute := func(lc *core.Ctx, blk *Block, d, _ int) error {
 		return stealCompute(lc, blk, d, cfg, res)
 	}
 	r, err := runChunked(rt, inner, compute)
@@ -215,83 +229,64 @@ func stealCompute(lc *core.Ctx, blk *Block, d int, cfg StealConfig, res *StealRe
 	done := sim.NewWaitGroup(engine)
 	workers := sim.NewWaitGroup(engine)
 
-	for qi := range gpuQueues {
-		workers.Add(1)
-		own := gpuQueues[qi]
-		lc.Spawn(fmt.Sprintf("gpu-wg%d", qi), lc.Node(), func(sub *core.Ctx) error {
-			defer workers.Done()
-			qi := qi
-			for it := 0; it < cfg.Iters; it++ {
-				start[it].Wait(sub.Proc())
-				for {
-					if until, off := gpuOffline(); off {
-						if cfg.Mode == CPUGPU {
-							// Leave the rest of this queue to the CPU
-							// thieves and sit out the iteration.
-							break
-						}
-						// GPUOnly: nothing to fail over to, so stall
-						// until the outage window closes.
-						sub.Proc().Sleep(until - sub.Proc().Now())
-						continue
-					}
-					t, ok := own.PopTail()
-					if !ok {
-						// Run dry: steal — from a CPU queue's head first
-						// (the direction §V-E highlights), then from a
-						// sibling GPU queue.
-						if t, _, ok = stealAcross(cpuQueues, gpuQueues, qi); ok {
-							res.Steals++
-						} else {
-							break
-						}
-					}
-					runRow(t)
-					sub.Proc().Sleep(gpuTaskTime)
-					sub.ChargeGPU(gpuTaskTime)
-					res.TasksByGPU++
-				}
-				done.Done()
-			}
-			return nil
-		})
+	// One worker per queue, GPU workgroups first. A GPU workgroup steals
+	// from a CPU queue's head first (the direction §V-E highlights), then
+	// from a sibling; a dry CPU thread pulls from the GPU queues (stealing
+	// is "across the CPU and the GPU", §V-E), keeping all processors busy
+	// until the barrier.
+	classes := []stealClass{
+		{name: "gpu-wg", own: gpuQueues, victims: cpuQueues, taskTime: gpuTaskTime,
+			charge: (*core.Ctx).ChargeGPU, tasks: &res.TasksByGPU, gpu: true},
+		{name: "cpu-th", own: cpuQueues, victims: gpuQueues, taskTime: cpuTaskTime,
+			charge: (*core.Ctx).ChargeCPU, tasks: &res.TasksByCPU},
 	}
-	for qi := range cpuQueues {
-		workers.Add(1)
-		own := cpuQueues[qi]
-		qi := qi
-		lc.Spawn(fmt.Sprintf("cpu-th%d", qi), lc.Node(), func(sub *core.Ctx) error {
-			defer workers.Done()
-			for it := 0; it < cfg.Iters; it++ {
-				start[it].Wait(sub.Proc())
-				for {
-					t, ok := own.PopTail()
-					if !ok {
-						// Dry CPU threads pull from GPU queues (stealing is
-						// "across the CPU and the GPU", §V-E), keeping all
-						// processors busy until the barrier.
-						var fromGPU bool
-						if t, fromGPU, ok = stealAcross(gpuQueues, cpuQueues, qi); ok {
+	for _, cl := range classes {
+		for qi, own := range cl.own {
+			workers.Add(1)
+			lc.Spawn(fmt.Sprintf("%s%d", cl.name, qi), lc.Node(), func(sub *core.Ctx) error {
+				defer workers.Done()
+				for it := 0; it < cfg.Iters; it++ {
+					start[it].Wait(sub.Proc())
+					for {
+						if cl.gpu {
+							if until, off := gpuOffline(); off {
+								if cfg.Mode == CPUGPU {
+									// Leave the rest of this queue to the CPU
+									// thieves and sit out the iteration.
+									break
+								}
+								// GPUOnly: nothing to fail over to, so stall
+								// until the outage window closes.
+								sub.Proc().Sleep(until - sub.Proc().Now())
+								continue
+							}
+						}
+						t, ok := own.PopTail()
+						if !ok {
+							var fromOther bool
+							if t, fromOther, ok = stealAcross(cl.victims, cl.own, qi); !ok {
+								break
+							}
 							res.Steals++
-							if fromGPU {
+							// A CPU thread running a GPU task while the GPU
+							// is out is a failover.
+							if fromOther && !cl.gpu {
 								if _, off := gpuOffline(); off {
 									res.Failovers++
 									lc.Runtime().NoteFailover()
 								}
 							}
-						} else {
-							break
 						}
+						runRow(t)
+						sub.Proc().Sleep(cl.taskTime)
+						cl.charge(sub, cl.taskTime)
+						*cl.tasks++
 					}
-					runRow(t)
-					sub.Proc().Sleep(cpuTaskTime)
-					sub.ChargeCPU(cpuTaskTime)
-					res.TasksByCPU++
+					done.Done()
 				}
-				done.Done()
-			}
-			return nil
-		})
+				return nil
+			})
+		}
 	}
 
 	for it := 0; it < cfg.Iters; it++ {

@@ -151,72 +151,81 @@ func Kernel(blocks []RowBlock, rowPtr []int32, col []int32, val, x, y []float32)
 	return kern
 }
 
-// RunNorthup executes out-of-core SpMV per §IV-C: row_ptr, col_id and data
-// live on the storage root; the dense vectors are resident at the fastest
-// feasible level (the paper's requirement that "the fastest memory has to
-// be big enough to hold the vector"); shards of rows stream through the
-// hierarchy, splitting recursively when a shard's non-zeros exceed the next
-// level's capacity.
-func RunNorthup(rt *core.Runtime, cfg Config) (*Result, error) {
-	if err := cfg.setDefaults(); err != nil {
-		return nil, err
-	}
+// problem is one out-of-core SpMV run as both drivers define it: the
+// inputs on the storage root, the shard plan, the resident vectors, shard
+// staging, the power-iteration normalize step and the result read-back.
+// RunNorthup and RunTasks differ only in how they dispatch its shards.
+type problem struct {
+	cfg        Config
+	rt         *core.Runtime
+	dram       *topo.Node
+	functional bool
+	// rowPtr is the host row structure every run plans from.
+	rowPtr []int32
+	// Input files on the storage root: the matrix, x and the result y.
+	fRow, fCol, fVal, fX, fY *core.Buffer
+	shards                   []shardRange
+	splits                   int
+	vecBytes                 int64
+	// The resident vectors, set by run before its body starts: x on every
+	// level of the leaf path (xLeaf is the deepest copy), y at the staging
+	// level.
+	xStage, xLeaf, yStage *core.Buffer
+	yView                 []float32
+}
+
+// newProblem creates the inputs on the storage root and plans the shards:
+// each shard's extents must fit the tightest non-root level after the
+// resident vectors, shared among inFlight concurrently staged shards. cfg
+// must already have its defaults.
+func newProblem(rt *core.Runtime, cfg Config, inFlight int) (*problem, error) {
 	root := rt.Tree().Root()
 	if root.Store == nil {
 		return nil, fmt.Errorf("spmv: tree root %v is not storage", root)
 	}
-	dram := root.Children[0]
+	p := &problem{cfg: cfg, rt: rt, dram: root.Children[0], functional: !rt.Phantom()}
 	n := cfg.N
-	functional := !rt.Phantom()
 
 	// Host-side planning data: the row structure exists even in phantom
 	// mode (64 MiB at 16M rows); columns and values only functionally.
-	m, rowPtrHost, err := hostMatrix(cfg, functional)
+	m, rowPtr, err := hostMatrix(cfg, p.functional)
 	if err != nil {
 		return nil, err
 	}
-	nnz := int64(rowPtrHost[n])
+	p.rowPtr = rowPtr
+	nnz := int64(rowPtr[n])
 
 	var xHost []float32
-	if functional {
-		xHost = workload.Vector(n, cfg.Seed+1)
-	}
 	var colBytes, valBytes []byte
-	if functional {
+	if p.functional {
+		xHost = workload.Vector(n, cfg.Seed+1)
 		colBytes, valBytes = view.I32Bytes(m.ColIdx), view.F32Bytes(m.Val)
 	}
-	fRow, err := rt.CreateInput(root, "sp-rowptr", int64(n+1)*4, view.I32Bytes(rowPtrHost))
-	if err != nil {
+	if p.fRow, err = rt.CreateInput(root, "sp-rowptr", int64(n+1)*4, view.I32Bytes(p.rowPtr)); err != nil {
 		return nil, err
 	}
-	fCol, err := rt.CreateInput(root, "sp-colidx", nnz*4, colBytes)
-	if err != nil {
+	if p.fCol, err = rt.CreateInput(root, "sp-colidx", nnz*4, colBytes); err != nil {
 		return nil, err
 	}
-	fVal, err := rt.CreateInput(root, "sp-val", nnz*4, valBytes)
-	if err != nil {
+	if p.fVal, err = rt.CreateInput(root, "sp-val", nnz*4, valBytes); err != nil {
 		return nil, err
 	}
-	fX, err := rt.CreateInput(root, "sp-x", int64(n)*4, view.F32Bytes(xHost))
-	if err != nil {
+	if p.fX, err = rt.CreateInput(root, "sp-x", int64(n)*4, view.F32Bytes(xHost)); err != nil {
 		return nil, err
 	}
-	fY, err := rt.CreateInput(root, "sp-y", int64(n)*4, nil)
-	if err != nil {
+	if p.fY, err = rt.CreateInput(root, "sp-y", int64(n)*4, nil); err != nil {
 		return nil, err
 	}
 
-	// Shard budget: the tightest non-root level, after the resident
-	// vectors, shared among the in-flight pipeline slots.
-	vecBytes := int64(n) * 4
+	p.vecBytes = int64(n) * 4
 	budget := int64(1) << 62
-	for node := dram; node != nil; node = childOf(node) {
+	for node := p.dram; node != nil; node = childOf(node) {
 		free := node.Mem.Free()
-		resident := vecBytes // x everywhere on the path
-		if node == dram {
-			resident += vecBytes // y stays at the staging level
+		resident := p.vecBytes // x everywhere on the path
+		if node == p.dram {
+			resident += p.vecBytes // y stays at the staging level
 		}
-		b := (free*9/10 - resident) / int64(cfg.Depth+1)
+		b := (free*9/10 - resident) / int64(inFlight)
 		if b < budget {
 			budget = b
 		}
@@ -226,20 +235,18 @@ func RunNorthup(rt *core.Runtime, cfg Config) (*Result, error) {
 	}
 
 	// The recursion's planning pass: split ranges by nnz until they fit.
-	var shards []shardRange
-	splits := 0
 	var expand func(r0, r1 int) error
 	expand = func(r0, r1 int) error {
-		if shardBytes(rowPtrHost, r0, r1) <= budget {
-			shards = append(shards, shardRange{r0, r1})
+		if shardBytes(p.rowPtr, r0, r1) <= budget {
+			p.shards = append(p.shards, shardRange{r0, r1})
 			return nil
 		}
 		if r1-r0 <= 1 {
 			return fmt.Errorf("spmv: row %d alone (%d nnz) exceeds the level budget %d",
-				r0, rowPtrHost[r0+1]-rowPtrHost[r0], budget)
+				r0, p.rowPtr[r0+1]-p.rowPtr[r0], budget)
 		}
-		splits++
-		mid := splitByNNZ(rowPtrHost, r0, r1)
+		p.splits++
+		mid := splitByNNZ(p.rowPtr, r0, r1)
 		if err := expand(r0, mid); err != nil {
 			return err
 		}
@@ -255,152 +262,210 @@ func RunNorthup(rt *core.Runtime, cfg Config) (*Result, error) {
 			return nil, err
 		}
 	}
+	return p, nil
+}
 
-	type inflight struct {
-		row, col, val *core.Buffer
+// extents returns the storage extents of shard sh in the row_ptr file and
+// in the col_id and data files (which share offsets).
+func (p *problem) extents(sh shardRange) (rowOff, rowLen, off, nnzLen int64) {
+	off = int64(p.rowPtr[sh.r0]) * 4
+	nnzLen = int64(p.rowPtr[sh.r1]-p.rowPtr[sh.r0]) * 4
+	return int64(sh.r0) * 4, int64(sh.r1-sh.r0+1) * 4, off, nnzLen
+}
+
+// staged is one shard's matrix extents, pinned at the staging level.
+type staged struct{ row, col, val *core.Buffer }
+
+// stage fetches shard sh's matrix extents to the staging level. They are
+// read-only and re-read on every power iteration, so they go through the
+// staging cache: iteration 1 streams from storage, later iterations hit
+// resident shards (capacity permitting). On failure it unpins whatever it
+// had fetched.
+func (p *problem) stage(sub *core.Ctx, sh shardRange) (s staged, err error) {
+	rowOff, rowLen, off, nnzLen := p.extents(sh)
+	if s.row, err = sub.MoveDataDownCached(p.dram, p.fRow, rowOff, rowLen); err != nil {
+		return staged{}, err
 	}
-	slots := make([]inflight, len(shards))
+	if s.col, err = sub.MoveDataDownCached(p.dram, p.fCol, off, nnzLen); err != nil {
+		sub.Unpin(s.row)
+		return staged{}, err
+	}
+	if s.val, err = sub.MoveDataDownCached(p.dram, p.fVal, off, nnzLen); err != nil {
+		sub.Unpin(s.col)
+		sub.Unpin(s.row)
+		return staged{}, err
+	}
+	return s, nil
+}
 
-	var yView []float32
-	stats, err := rt.Run("spmv-northup", func(c *core.Ctx) error {
-		// Vectors down the tree: x to every level on the leaf path, y at
-		// the staging level.
-		xStage, err := c.AllocAt(dram, vecBytes)
+// prefetch hints shard sh's matrix extents to the staging cache.
+func (p *problem) prefetch(sub *core.Ctx, sh shardRange) {
+	rowOff, rowLen, off, nnzLen := p.extents(sh)
+	sub.Prefetch(p.dram, p.fRow, rowOff, rowLen)
+	sub.Prefetch(p.dram, p.fCol, off, nnzLen)
+	sub.Prefetch(p.dram, p.fVal, off, nnzLen)
+}
+
+// compute bins shard sh on the CPU and runs its kernels at the leaf.
+func (p *problem) compute(sub *core.Ctx, sh shardRange, s staged) error {
+	return sub.Descend(p.dram, func(dc *core.Ctx) error {
+		return computeShard(dc, p.cfg, sh, s.row, s.col, s.val,
+			p.xLeaf, p.yStage, p.yView, p.rowPtr, p.functional)
+	})
+}
+
+// normalize is the power-iteration step: x <- y / ||y||_inf on the CPU,
+// then the refresh of the leaf-resident copy of x.
+func (p *problem) normalize(c *core.Ctx) error {
+	n := p.cfg.N
+	if _, err := c.RunCPUParallel(4*float64(n), 8*float64(n), func() {
+		if !p.functional {
+			return
+		}
+		xv := view.F32(p.xStage.Bytes())
+		norm := float32(0)
+		for _, v := range p.yView {
+			if v < 0 {
+				v = -v
+			}
+			if v > norm {
+				norm = v
+			}
+		}
+		if norm == 0 {
+			norm = 1
+		}
+		for i, v := range p.yView {
+			xv[i] = v / norm
+		}
+	}); err != nil {
+		return err
+	}
+	// The staging copy changed; charge its propagation to the deeper
+	// levels (3-level trees keep x in device memory). On 2-level trees the
+	// leaf reads xStage directly.
+	if p.xLeaf != p.xStage {
+		return c.MoveData(p.xLeaf, p.xStage, 0, 0, p.vecBytes)
+	}
+	return nil
+}
+
+// run executes body as the runtime's root task between the vector moves:
+// x down to every level of the leaf path and y allocated at the staging
+// level before it, y back to storage (one sequential write) after it.
+// It then reads y back in functional runs.
+func (p *problem) run(name string, body func(c *core.Ctx) error) (*Result, error) {
+	stats, err := p.rt.Run(name, func(c *core.Ctx) error {
+		xStage, err := c.AllocAt(p.dram, p.vecBytes)
 		if err != nil {
 			return err
 		}
 		defer c.Release(xStage)
-		if err := c.MoveDataDown(xStage, fX, 0, 0, vecBytes); err != nil {
+		if err := c.MoveDataDown(xStage, p.fX, 0, 0, p.vecBytes); err != nil {
 			return err
 		}
-		yStage, err := c.AllocAt(dram, vecBytes)
+		yStage, err := c.AllocAt(p.dram, p.vecBytes)
 		if err != nil {
 			return err
 		}
 		defer c.Release(yStage)
-		xLeafBuf := xStage
-		leaf := dram
-		for !leaf.IsLeaf() {
+		xLeaf := xStage
+		for leaf := p.dram; !leaf.IsLeaf(); {
 			child := leaf.Children[0]
-			xChild, err := c.AllocAt(child, vecBytes)
+			xChild, err := c.AllocAt(child, p.vecBytes)
 			if err != nil {
 				return err
 			}
 			defer c.Release(xChild)
-			if err := c.MoveData(xChild, xLeafBuf, 0, 0, vecBytes); err != nil {
+			if err := c.MoveData(xChild, xLeaf, 0, 0, p.vecBytes); err != nil {
 				return err
 			}
-			xLeafBuf = xChild
+			xLeaf = xChild
 			leaf = child
 		}
-		if functional {
-			yView = view.F32(yStage.Bytes())
+		p.xStage, p.xLeaf, p.yStage = xStage, xLeaf, yStage
+		if p.functional {
+			p.yView = view.F32(yStage.Bytes())
 		}
-
-		for iter := 0; iter < cfg.Iters; iter++ {
-			err = c.Pipeline(len(shards), cfg.Depth,
-				func(sub *core.Ctx, si int) error { // load shard from storage
-					sh := shards[si]
-					rows := sh.r1 - sh.r0
-					shardNNZ := int64(rowPtrHost[sh.r1] - rowPtrHost[sh.r0])
-					off := int64(rowPtrHost[sh.r0]) * 4
-					// The matrix extents are read-only and re-read on every
-					// power iteration, so they go through the staging cache:
-					// iteration 1 streams from storage, later iterations hit
-					// resident shards (capacity permitting).
-					var s inflight
-					var err error
-					if s.row, err = sub.MoveDataDownCached(dram, fRow, int64(sh.r0)*4, int64(rows+1)*4); err != nil {
-						return err
-					}
-					if s.col, err = sub.MoveDataDownCached(dram, fCol, off, shardNNZ*4); err != nil {
-						return err
-					}
-					if s.val, err = sub.MoveDataDownCached(dram, fVal, off, shardNNZ*4); err != nil {
-						return err
-					}
-					slots[si] = s
-					// The pipeline schedule is deterministic: shard si+1 loads
-					// next. Hint its extents behind this shard's fetches.
-					if nx := si + 1; nx < len(shards) {
-						nsh := shards[nx]
-						noff := int64(rowPtrHost[nsh.r0]) * 4
-						nNNZ := int64(rowPtrHost[nsh.r1] - rowPtrHost[nsh.r0])
-						sub.Prefetch(dram, fRow, int64(nsh.r0)*4, int64(nsh.r1-nsh.r0+1)*4)
-						sub.Prefetch(dram, fCol, noff, nNNZ*4)
-						sub.Prefetch(dram, fVal, noff, nNNZ*4)
-					}
-					return nil
-				},
-				func(sub *core.Ctx, si int) error { // bin on CPU, compute at leaf
-					sh := shards[si]
-					s := slots[si]
-					err := sub.Descend(dram, func(dc *core.Ctx) error {
-						return computeShard(dc, cfg, sh, s.row, s.col, s.val,
-							xLeafBuf, yStage, yView, rowPtrHost, functional)
-					})
-					sub.Unpin(s.row)
-					sub.Unpin(s.col)
-					sub.Unpin(s.val)
-					slots[si] = inflight{}
-					return err
-				},
-			)
-			if err != nil {
-				return err
-			}
-			if iter < cfg.Iters-1 {
-				// Power-iteration step: x <- y / ||y||_inf on the CPU, then
-				// refresh the leaf-resident copy of x.
-				if _, err := c.RunCPUParallel(4*float64(n), 8*float64(n), func() {
-					if !functional {
-						return
-					}
-					xv := view.F32(xStage.Bytes())
-					norm := float32(0)
-					for _, v := range yView {
-						if v < 0 {
-							v = -v
-						}
-						if v > norm {
-							norm = v
-						}
-					}
-					if norm == 0 {
-						norm = 1
-					}
-					for i, v := range yView {
-						xv[i] = v / norm
-					}
-				}); err != nil {
-					return err
-				}
-				// The staging copy changed; charge its propagation to the
-				// deeper levels (3-level trees keep x in device memory).
-				if xLeafBuf != xStage {
-					if err := c.MoveData(xLeafBuf, xStage, 0, 0, vecBytes); err != nil {
-						return err
-					}
-				}
-				// On 2-level trees the leaf reads xStage directly.
-			}
+		if err := body(c); err != nil {
+			return err
 		}
-		// Result vector back to storage (b is one sequential write).
-		return c.MoveData(fY, yStage, 0, 0, vecBytes)
+		return c.MoveData(p.fY, yStage, 0, 0, p.vecBytes)
 	})
 	if err != nil {
 		return nil, err
 	}
-
-	res := &Result{Stats: stats, Shards: len(shards), Splits: splits}
-	if functional {
-		y := make([]float32, n)
-		if err := fY.File().Peek(view.F32Bytes(y), 0); err != nil {
+	res := &Result{Stats: stats, Shards: len(p.shards), Splits: p.splits}
+	if p.functional {
+		y := make([]float32, p.cfg.N)
+		if err := p.fY.File().Peek(view.F32Bytes(y), 0); err != nil {
 			return nil, err
 		}
 		res.Y = y
 	}
 	return res, nil
+}
+
+// RunNorthup executes out-of-core SpMV per §IV-C: row_ptr, col_id and data
+// live on the storage root; the dense vectors are resident at the fastest
+// feasible level (the paper's requirement that "the fastest memory has to
+// be big enough to hold the vector"); shards of rows stream through the
+// hierarchy, splitting recursively when a shard's non-zeros exceed the next
+// level's capacity.
+func RunNorthup(rt *core.Runtime, cfg Config) (*Result, error) {
+	if err := cfg.setDefaults(); err != nil {
+		return nil, err
+	}
+	p, err := newProblem(rt, cfg, cfg.Depth+1)
+	if err != nil {
+		return nil, err
+	}
+	slots := make([]staged, len(p.shards))
+	return p.run("spmv-northup", func(c *core.Ctx) error {
+		for iter := 0; iter < cfg.Iters; iter++ {
+			err := c.Pipeline(len(p.shards), cfg.Depth,
+				func(sub *core.Ctx, si int) error { // load shard from storage
+					s, err := p.stage(sub, p.shards[si])
+					if err != nil {
+						return err
+					}
+					slots[si] = s
+					// The pipeline schedule is deterministic: shard si+1 loads
+					// next. Hint its extents behind this shard's fetches.
+					if si+1 < len(p.shards) {
+						p.prefetch(sub, p.shards[si+1])
+					}
+					return nil
+				},
+				func(sub *core.Ctx, si int) error { // bin on CPU, compute at leaf
+					s := slots[si]
+					err := p.compute(sub, p.shards[si], s)
+					sub.Unpin(s.row)
+					sub.Unpin(s.col)
+					sub.Unpin(s.val)
+					slots[si] = staged{}
+					return err
+				},
+			)
+			if err != nil {
+				// Shards loaded but never computed are still pinned.
+				for _, s := range slots {
+					if s.row != nil {
+						c.Unpin(s.row)
+						c.Unpin(s.col)
+						c.Unpin(s.val)
+					}
+				}
+				return err
+			}
+			if iter < cfg.Iters-1 {
+				if err := p.normalize(c); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	})
 }
 
 // childOf returns a node's only child, or nil at a leaf.
@@ -448,28 +513,21 @@ func computeShard(dc *core.Ctx, cfg Config, sh shardRange,
 	// 3-level path: shard data and a y segment move to the child level.
 	child := dc.Children()[0]
 	shardNNZ := int64(shardRowPtr[rows] - shardRowPtr[0])
-	gRow, err := dc.AllocAt(child, int64(rows+1)*4)
-	if err != nil {
-		return err
-	}
-	gCol, err := dc.AllocAt(child, shardNNZ*4)
-	if err != nil {
-		return err
-	}
-	gVal, err := dc.AllocAt(child, shardNNZ*4)
-	if err != nil {
-		return err
-	}
-	gY, err := dc.AllocAt(child, int64(rows)*4)
-	if err != nil {
-		return err
-	}
+	// Release whatever was allocated, also when a later allocation fails.
+	var bufs []*core.Buffer
 	defer func() {
-		dc.Release(gRow)
-		dc.Release(gCol)
-		dc.Release(gVal)
-		dc.Release(gY)
+		for _, b := range bufs {
+			dc.Release(b)
+		}
 	}()
+	for _, size := range []int64{int64(rows+1) * 4, shardNNZ * 4, shardNNZ * 4, int64(rows) * 4} {
+		b, err := dc.AllocAt(child, size)
+		if err != nil {
+			return err
+		}
+		bufs = append(bufs, b)
+	}
+	gRow, gCol, gVal, gY := bufs[0], bufs[1], bufs[2], bufs[3]
 	if err := dc.MoveDataDown(gRow, rowBuf, 0, 0, int64(rows+1)*4); err != nil {
 		return err
 	}
@@ -479,7 +537,7 @@ func computeShard(dc *core.Ctx, cfg Config, sh shardRange,
 	if err := dc.MoveDataDown(gVal, valBuf, 0, 0, shardNNZ*4); err != nil {
 		return err
 	}
-	err = dc.Descend(child, func(lc *core.Ctx) error {
+	err := dc.Descend(child, func(lc *core.Ctx) error {
 		var col []int32
 		var val, x, y []float32
 		if functional {
